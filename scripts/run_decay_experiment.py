@@ -14,6 +14,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from bishopdiscs import fourier, specio
+from bishopdiscs.config import PipelineConfig
 from bishopdiscs.curve import SliceParams
 from bishopdiscs.discs import fit_loglog_slope, radial_derivative_of_u
 from bishopdiscs.solver import solve_slice
@@ -28,12 +29,13 @@ def main():
     spec = specio.load(specio.resolve_spec_path("builtin:order7"))
     r_list = [float(v) for v in args.r_list.split(",")]
     x0 = tuple(0.0 for _ in range(spec.nvars))
+    config = PipelineConfig(solve_tol=1e-22)   # solve to the noise floor
 
     rows = [["r", "normU", "normDrU", "iterations"]]
     norms, dr_norms = [], []
     for r in r_list:
-        sol = solve_slice(spec, SliceParams(x0, r), tol=1e-22)
-        du = radial_derivative_of_u(spec, SliceParams(x0, r), tol=1e-22)
+        sol = solve_slice(spec, SliceParams(x0, r), config)
+        du = radial_derivative_of_u(spec, SliceParams(x0, r), config)
         norms.append(sol.norm_u)
         dr_norms.append(fourier.sup_norm(du))
         rows.append([r, sol.norm_u, dr_norms[-1], sol.iterations])

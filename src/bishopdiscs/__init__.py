@@ -15,7 +15,7 @@ from .config import DEFAULT_CONFIG, PipelineConfig
 from .curve import BoundaryCurve, SliceData, SliceParams, quadric_slice, trace_level_curve
 from .conformal import ConformalMap, riemann_map
 from .discs import AttachedDisc, FamilyReport, build_disc, cauchy_extend, sweep
-from .hilbert import HilbertOperator, conjugate_on_circle, hilbert_on_curve, norm_probe
+from .hilbert import hilbert_on_curve, norm_probe
 from .normal_form import (
     CoordinateChange, ManifoldSpec, RawDefiningSeries, detect_cr_singularity,
     kill_imaginary_part, normalize_full, normalize_quadric, recenter_cr_singularity,

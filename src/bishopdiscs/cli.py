@@ -21,11 +21,9 @@ from .curve import SliceParams, trace_level_curve
 from .discs import build_disc, sweep
 from .errors import PipelineError
 from .figures import curve_family_svg, mapped_grid_svg, write_svg
-from .hilbert import (
-    HilbertOperator, eval_trig_poly, origin_imaginary_residual, random_trig_poly,
-)
+from .hilbert import eval_trig_poly, origin_imaginary_residual, random_trig_poly
 from .normal_form import RawDefiningSeries, normalize_full
-from .solver import build_slice_operators, solve_u
+from .solver import solve_slice
 
 
 @dataclass
@@ -54,7 +52,7 @@ class RunConfig:
         return self
 
     def pipeline_config(self):
-        return PipelineConfig(ntheta=self.ntheta)
+        return PipelineConfig(ntheta=self.ntheta, solve_tol=self.tol)
 
     def to_dict(self):
         return {
@@ -191,10 +189,7 @@ def cmd_disc(spec, run_config):
     cfg = run_config.pipeline_config()
     rows = []
     for sp in _slices(spec, run_config):
-        curve = trace_level_curve(spec, sp, cfg.ntheta, cfg)
-        cmap = riemann_map(curve, cfg)
-        ops = build_slice_operators(curve, cmap, cfg)
-        sol = solve_u(curve, cmap, ops, tol=run_config.tol * sp.r ** 2, config=cfg)
+        sol = solve_slice(spec, sp, cfg)
         disc = build_disc(spec, sp, sol, cfg)
         rows.append({
             "x": list(sp.x), "r": sp.r,
@@ -281,29 +276,25 @@ def cmd_verify(spec, run_config):
     trivial = not spec.p.coeffs and not spec.k.coeffs
     slices = []
     for sp in _slices(spec, run_config):
-        curve = trace_level_curve(spec, sp, cfg.ntheta, cfg)
-        cmap = riemann_map(curve, cfg)
-        ops = build_slice_operators(curve, cmap, cfg)
-        sol = solve_u(curve, cmap, ops, tol=run_config.tol * sp.r ** 2, config=cfg)
+        sol = solve_slice(spec, sp, cfg)
         disc = build_disc(spec, sp, sol, cfg)
         label = f"x={list(sp.x)},r={sp.r}"
-        check(f"fixed_point[{label}]", sol.residual, 10 * run_config.tol * sp.r ** 2)
+        check(f"fixed_point[{label}]", sol.residual, 10 * cfg.solve_tol * sp.r ** 2)
         check(f"attachment[{label}]", disc.boundary_residual, 1e-8)
         check(f"center_offset[{label}]", disc.center_offset, 1e-10)
         check(f"center_height[{label}]", disc.center_height_residual, 1e-8)
-        check(f"d_holomorphy[{label}]", ops.d_energy, 1e-8)
+        check(f"d_holomorphy[{label}]", sol.ops.d_energy, 1e-8)
         fmean = sol.f_samples - np.mean(sol.f_samples)
         check(f"f_holomorphy[{label}]",
               fourier.negative_energy_fraction(fmean) if np.max(np.abs(fmean)) > 0 else 0.0,
               1e-8)
-        op = HilbertOperator(cmap)
         phi = eval_trig_poly(random_trig_poly(rng), t)
         check(f"origin_normalization[{label}]",
-              origin_imaginary_residual(op, phi) / np.max(np.abs(phi)), 1e-9)
+              origin_imaginary_residual(sol.cmap, phi) / np.max(np.abs(phi)), 1e-9)
         if trivial:
             check(f"trivial_norm_u[{label}]", sol.norm_u, 1e-10)
             check(f"trivial_d[{label}]",
-                  float(np.max(np.abs(ops.d_samples - 1.0))), 1e-10)
+                  float(np.max(np.abs(sol.ops.d_samples - 1.0))), 1e-10)
         slices.append({"x": list(sp.x), "r": sp.r, "normU": sol.norm_u,
                        "iterations": sol.iterations})
 
@@ -333,7 +324,8 @@ def build_parser():
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--ntheta", type=int, default=256)
     parser.add_argument("--tol", type=float, default=1e-12,
-                        help="solver tolerance, scaled by r^2 per slice")
+                        help="solver tolerance, scaled by r^2 per slice "
+                             "(disc, sweep, verify)")
     parser.add_argument("--r-list", default="0.02,0.03,0.045,0.068,0.1")
     parser.add_argument("--x-grid", default="0")
     parser.add_argument("--figures", action="store_true")

@@ -9,7 +9,8 @@ class PipelineConfig:
 
     ntheta must be a power of two (spectral transforms); n_taylor is the
     number of disc Taylor coefficients kept from the boundary transform.
-    solve_tol, when None, defaults to 1e-12 * r**2 per slice.
+    solve_tol is the boundary solver's step tolerance relative to r**2,
+    floored at the double-precision noise level 4e-16.
     """
 
     ntheta: int = 256
@@ -17,7 +18,7 @@ class PipelineConfig:
     trace_tol: float = 1e-13       # relative to r**2
     map_tol: float = 1e-11         # sup norm of correspondence residual
     map_max_iter: int = 200
-    solve_tol: float | None = None
+    solve_tol: float = 1e-12       # relative to r**2
     solve_max_iter: int = 100
     newton_max_iter: int = 50
     newton_tol: float = 1e-12

@@ -141,7 +141,9 @@ def riemann_map(curve, config=DEFAULT_CONFIG):
     boundary_sigma = np.exp(g_at) * np.exp(1j * theta)
     coeffs = fourier.taylor_from_boundary(boundary_sigma, config.taylor_count())
     if abs(coeffs[0]) > 1e-9:
-        raise NoConvergence(f"map does not fix the origin: sigma(0) = {coeffs[0]:.3e}")
+        raise NoConvergence(
+            f"map does not fix the origin: sigma(0) = {coeffs[0]:.3e}; the grid "
+            f"under-resolves the map, try ntheta = {2 * n}")
     if coeffs[1].real <= 0.0 or abs(coeffs[1].imag) > 1e-9 * abs(coeffs[1]):
         raise NoConvergence(f"derivative at 0 not positive real: {coeffs[1]:.3e}")
     boundary_z = curve.r * boundary_sigma

@@ -87,13 +87,6 @@ class BoundaryCurve:
         """Level-equation defect |qp(z) - r^2| at the stored points."""
         return np.abs(self.data.eval_qp(self.points).real - self.r ** 2)
 
-    def diameter(self):
-        return 2.0 * float(np.max(np.abs(self.points)))
-
-    def winding_number(self):
-        ang = np.unwrap(np.angle(np.append(self.points, self.points[0])))
-        return int(np.round((ang[-1] - ang[0]) / (2 * np.pi)))
-
 
 def _radial_values(data, rho, theta):
     return data.eval_qp(rho * np.exp(1j * theta)).real
@@ -176,6 +169,6 @@ def trace_level_curve(spec, slice_params, n_theta=None, config=DEFAULT_CONFIG):
     curve = BoundaryCurve(slice_params, data.lam, theta, rho, points, tangents, data)
     if np.any(rho <= 0.0):
         raise NotStarShaped("nonpositive radial function")
-    if curve.winding_number() != 1:
+    if fourier.winding_number(points) != 1:
         raise NotStarShaped("curve does not wind once around the origin")
     return curve

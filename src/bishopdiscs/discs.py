@@ -133,19 +133,19 @@ def fit_loglog_slope(values_x, values_y):
     return float(np.polyfit(np.log(values_x), np.log(values_y), 1)[0])
 
 
-def radial_derivative_of_u(spec, slice_params, config=DEFAULT_CONFIG, tol=None):
+def radial_derivative_of_u(spec, slice_params, config=DEFAULT_CONFIG):
     """Central finite difference of the boundary unknown in the radius."""
     r = slice_params.r
     h = r / config.fd_r_factor
     if not (0.0 < r - h and r + h <= config.r_max):
         raise StencilOutOfRange(f"radius stencil [{r - h}, {r + h}] leaves (0, r_max]")
-    lo = solve_slice(spec, SliceParams(slice_params.x, r - h), config, tol)
-    hi = solve_slice(spec, SliceParams(slice_params.x, r + h), config, tol)
+    lo = solve_slice(spec, SliceParams(slice_params.x, r - h), config)
+    hi = solve_slice(spec, SliceParams(slice_params.x, r + h), config)
     return (hi.u_samples - lo.u_samples) / (2.0 * h)
 
 
 def derivative_bound_probe(spec, slice_params, j, s, config=DEFAULT_CONFIG,
-                           tol=None, solution=None):
+                           solution=None):
     """Sup norm of the theta/radius derivatives of the disc correction F."""
     l = spec.l
     if j + 2 * s > l - 4:
@@ -156,7 +156,7 @@ def derivative_bound_probe(spec, slice_params, j, s, config=DEFAULT_CONFIG,
         raise StencilOutOfRange("radius stencil leaves (0, r_max]")
 
     def f_of(rr):
-        sol = solve_slice(spec, SliceParams(slice_params.x, rr), config, tol)
+        sol = solve_slice(spec, SliceParams(slice_params.x, rr), config)
         return sol.f_samples
 
     if s == 0:
@@ -173,14 +173,13 @@ def derivative_bound_probe(spec, slice_params, j, s, config=DEFAULT_CONFIG,
     return fourier.sup_norm(f, config.upsample)
 
 
-def jacobian_defect(spec, slice_params, config=DEFAULT_CONFIG, tol=None,
-                    base_solution=None):
+def jacobian_defect(spec, slice_params, config=DEFAULT_CONFIG, base_solution=None):
     """Max deviation of the slice-map derivative at the origin from the
     flat inclusion (z, X, u) -> (z, X, u + 0 i), by central differences."""
     x = np.asarray(slice_params.x, dtype=float)
     r = slice_params.r
     u = slice_params.u
-    sol = base_solution or solve_slice(spec, slice_params, config, tol)
+    sol = base_solution or solve_slice(spec, slice_params, config)
 
     def center_values(solution, z_targets):
         cmap = solution.cmap
@@ -203,16 +202,16 @@ def jacobian_defect(spec, slice_params, config=DEFAULT_CONFIG, tol=None,
     for axis in range(len(x)):
         shift = np.zeros_like(x)
         shift[axis] = hx
-        sol_p = solve_slice(spec, SliceParams(tuple(x + shift), r), config, tol)
-        sol_m = solve_slice(spec, SliceParams(tuple(x - shift), r), config, tol)
+        sol_p = solve_slice(spec, SliceParams(tuple(x + shift), r), config)
+        sol_m = solve_slice(spec, SliceParams(tuple(x - shift), r), config)
         zp, wp = center_values(sol_p, [0.0])
         zm, wm = center_values(sol_m, [0.0])
         defects.append(abs(zp[0] - zm[0]) / (2 * hx))
         defects.append(abs(wp[0] - wm[0]) / (2 * hx))
     # u direction: expect dZ/du = 0 and dW/du = 1
     hu = u / 10.0
-    sol_p = solve_slice(spec, SliceParams(slice_params.x, np.sqrt(u + hu)), config, tol)
-    sol_m = solve_slice(spec, SliceParams(slice_params.x, np.sqrt(u - hu)), config, tol)
+    sol_p = solve_slice(spec, SliceParams(slice_params.x, np.sqrt(u + hu)), config)
+    sol_m = solve_slice(spec, SliceParams(slice_params.x, np.sqrt(u - hu)), config)
     zp, wp = center_values(sol_p, [0.0])
     zm, wm = center_values(sol_m, [0.0])
     defects.append(abs(zp[0] - zm[0]) / (2 * hu))
@@ -277,9 +276,8 @@ def _disjointness(discs, max_points=512):
     }
 
 
-def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, tol=None,
-          with_jacobian=True, with_rates=True, with_hilbert_probe=False,
-          seed=0):
+def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, with_jacobian=True,
+          with_rates=True, with_hilbert_probe=False, seed=0):
     """Solve and assemble every slice, then run the family checks.
 
     Per-slice failures are recorded, never raised; rate fits need at least
@@ -296,7 +294,7 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, tol=None,
             sp = SliceParams(x, r)
             record = {"x": list(x), "r": r, "converged": False}
             try:
-                sol = solve_slice(spec, sp, config, tol)
+                sol = solve_slice(spec, sp, config)
                 disc = build_disc(spec, sp, sol, config)
                 record.update({
                     "converged": True,
@@ -312,7 +310,7 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, tol=None,
                 curves[(x, r)] = sol.curve
                 if with_jacobian:
                     record["jacobian_defect"] = jacobian_defect(
-                        spec, sp, config, tol, base_solution=sol)
+                        spec, sp, config, base_solution=sol)
             except PipelineError as exc:
                 record["error"] = f"{type(exc).__name__}: {exc}"
                 report.failures.append({"x": list(x), "r": r,
@@ -331,7 +329,7 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, tol=None,
                 entry["slope_norm_u"] = fit_loglog_slope(rs, norms)
                 dr_norms = []
                 for r in rs:
-                    du = radial_derivative_of_u(spec, SliceParams(x, r), config, tol)
+                    du = radial_derivative_of_u(spec, SliceParams(x, r), config)
                     dr_norms.append(fourier.sup_norm(du, config.upsample))
                 entry["slope_dr_u"] = fit_loglog_slope(rs, dr_norms)
             report.rate_fits.append(entry)
@@ -355,13 +353,13 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, tol=None,
                 report.jacobian_trend.append({"r": r, "max_defect": max(vals)})
 
     if with_hilbert_probe:
-        from .hilbert import HilbertOperator, norm_probe
+        from .hilbert import norm_probe
         for x in x_grid:
             rs = [r for r in r_list if (x, r) in discs]
             if not rs:
                 continue
             r = rs[-1]
-            op = HilbertOperator(discs[(x, r)].solution.cmap)
-            gap = norm_probe(op, j=0, trials=10, seed=seed, config=config)
+            gap = norm_probe(discs[(x, r)].solution.cmap, j=0, trials=10, seed=seed,
+                             config=config)
             report.hilbert_gaps.append({"x": list(x), "r": r, "gap": gap})
     return report

@@ -21,11 +21,6 @@ def _check_even(samples):
     return n
 
 
-def coefficients(samples):
-    """Raw DFT coefficients fft(f)/N in numpy bin order."""
-    return np.fft.fft(samples) / len(samples)
-
-
 def conjugate_multiplier(n):
     """Fourier multiplier of the circle conjugation: e^{ikt} -> -i sgn(k) e^{ikt}."""
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -72,6 +67,12 @@ def eval_interpolant(samples, t):
         out += c[k] * np.exp(1j * k * t) + c[n - k] * np.exp(-1j * k * t)
     out += c[half] * np.cos(half * t)
     return out.real if np.isrealobj(samples) else out
+
+
+def winding_number(samples):
+    """Turns of the closed sampled curve (or nonvanishing function) around 0."""
+    ang = np.unwrap(np.angle(np.append(samples, samples[0])))
+    return int(np.round((ang[-1] - ang[0]) / (2 * np.pi)))
 
 
 def upsample(samples, factor):

@@ -6,57 +6,22 @@ conjugation in t: phi + i H[phi] then extends holomorphically inside, and
 because sigma(0) = 0 and the conjugation has zero mean, the imaginary part
 of the extension vanishes at the curve's origin.
 
-Boundary functions are plain numpy arrays over the circle grid. Functions
-natively sampled on the polar angle grid are pulled back to correspondence
-nodes with trigonometric interpolation (pullback_polar).
+Boundary functions are plain numpy arrays over the circle grid of a
+ConformalMap, which every function here takes directly.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fourier
 from .config import PipelineConfig
-from .conformal import ConformalMap, riemann_map
+from .conformal import riemann_map
 from .curve import quadric_slice, trace_level_curve
 from .errors import AliasingRisk, GridMismatch
 
 ALIAS_ENERGY_LIMIT = 1e-6
 
 
-def conjugate_on_circle(samples):
-    """Spectral conjugation: cos(nt) -> sin(nt), sin(nt) -> -cos(nt), 1 -> 0."""
-    return fourier.conjugate_samples(samples)
-
-
-def _alias_guard(samples):
-    if fourier.top_band_energy_fraction(samples) >= ALIAS_ENERGY_LIMIT:
-        raise AliasingRisk(
-            "top quarter of the input spectrum carries >= 1e-6 of the energy; "
-            "increase the grid size")
-
-
-@dataclass(frozen=True)
-class HilbertOperator:
-    """Linear transform attached to one slice's conformal parameterization."""
-
-    cmap: ConformalMap
-    log_tangent: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        # d/dt log z(t), used for Cauchy evaluation at the curve origin
-        object.__setattr__(
-            self, "log_tangent", self.cmap.boundary_dz / self.cmap.boundary_z)
-
-    @property
-    def n(self):
-        return self.cmap.n
-
-    def __call__(self, phi):
-        return hilbert_on_curve(self, phi)
-
-
-def hilbert_on_curve(op, phi):
+def hilbert_on_curve(cmap, phi):
     """Transform of a real boundary function sampled at the conformal grid.
 
     The returned samples make phi + i H[phi] the boundary values of a
@@ -64,35 +29,21 @@ def hilbert_on_curve(op, phi):
     (see origin_imaginary_residual for the verification hook).
     """
     phi = np.asarray(phi)
-    if len(phi) != op.n:
-        raise GridMismatch(f"expected {op.n} samples, got {len(phi)}")
-    _alias_guard(phi)
+    if len(phi) != cmap.n:
+        raise GridMismatch(f"expected {cmap.n} samples, got {len(phi)}")
+    if fourier.top_band_energy_fraction(phi) >= ALIAS_ENERGY_LIMIT:
+        raise AliasingRisk(
+            "top quarter of the input spectrum carries >= 1e-6 of the energy; "
+            "increase the grid size")
     return fourier.conjugate_samples(phi)
 
 
-def pullback_polar(op, polar_samples):
-    """Resample a polar-grid function at the correspondence nodes theta(t)."""
-    polar_samples = np.asarray(polar_samples)
-    if len(polar_samples) != op.n:
-        raise GridMismatch(f"expected {op.n} samples, got {len(polar_samples)}")
-    _alias_guard(polar_samples)
-    out = fourier.eval_interpolant(polar_samples, op.cmap.correspondence)
-    return out.real if np.isrealobj(polar_samples) else out
-
-
-def analytic_completion(op, phi):
-    return np.asarray(phi, dtype=float) + 1j * hilbert_on_curve(op, phi)
-
-
-def evaluate_at_origin(op, boundary_values):
-    """Cauchy-integral value of a holomorphic extension at the curve origin."""
-    g = np.asarray(boundary_values, dtype=complex)
-    return complex(np.sum(g * op.log_tangent) / (1j * op.n))
-
-
-def origin_imaginary_residual(op, phi):
-    """|Im| of the extension of phi + i H[phi] at the curve origin."""
-    return abs(evaluate_at_origin(op, analytic_completion(op, phi)).imag)
+def origin_imaginary_residual(cmap, phi):
+    """|Im| at the curve origin of the extension of phi + i H[phi], by the
+    Cauchy integral over the conformal parameterization."""
+    completion = np.asarray(phi, dtype=float) + 1j * hilbert_on_curve(cmap, phi)
+    log_tangent = cmap.boundary_dz / cmap.boundary_z
+    return abs(complex(np.sum(completion * log_tangent) / (1j * cmap.n)).imag)
 
 
 # --------------------------------------------------------------------------
@@ -145,7 +96,7 @@ def _transform_on_polar_grid(cmap, coeffs):
     return np.real(fourier.eval_interpolant(h_t, t_star))
 
 
-def norm_probe(op, j, trials=16, seed=0, config=None):
+def norm_probe(cmap, j, trials=16, seed=0, config=None):
     """Empirical operator-norm gap between this curve's transform and the
     transform of the unperturbed quadratic-model curve at the same slice.
 
@@ -155,7 +106,6 @@ def norm_probe(op, j, trials=16, seed=0, config=None):
     """
     if trials < 10:
         raise ValueError("need at least 10 trials")
-    cmap = op.cmap
     cfg = config or PipelineConfig(ntheta=cmap.n)
     model_curve = trace_level_curve(
         quadric_slice(cmap.curve.lam, max_degree=cmap.curve.data.qp.shape[0] - 1),

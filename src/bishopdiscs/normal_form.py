@@ -325,13 +325,6 @@ class CoordinateChange:
         self.theta_fit = fit_parampoly(points, [r.theta for r in recs], nvars, degree)
         self.quad_absorb_fit = fit_complex(
             points, [r.quad_absorb for r in recs], nvars, degree)
-        stages = sorted({m for r in recs for m in r.bm})
-        for m in stages:
-            keys = sorted({jk for r in recs for jk in r.bm.get(m, {})})
-            self.bm_fits[m] = {
-                jk: fit_complex(points, [r.bm.get(m, {}).get(jk, 0.0) for r in recs],
-                                nvars, degree)
-                for jk in keys}
         return self
 
 
@@ -413,6 +406,24 @@ def _normalize_slice(mat, x, config):
     return t, rec
 
 
+def _assemble_spec(n, l, nvars, points, lams, mats, max_degree, validity_radius,
+                   fit_degree):
+    """ManifoldSpec of per-sample normalized matrices: lam, P and K fitted
+    over the points, the exact matrices kept as the sample table."""
+    size = max_degree + 1
+    p_mats = [real_part_matrix(m) - quadric_matrix(lam, size)
+              for m, lam in zip(mats, lams)]
+    k_mats = [imag_part_matrix(m) for m in mats]
+    spec = ManifoldSpec(
+        n=n, l=l, lam=fit_parampoly(points, lams, nvars, fit_degree),
+        p=fit_series(points, p_mats, nvars, max_degree, fit_degree),
+        k=fit_series(points, k_mats, nvars, max_degree, fit_degree),
+        validity_radius=validity_radius)
+    for x, lam, pm, km in zip(points, lams, p_mats, k_mats):
+        spec.store_sample(x, lam, quadric_matrix(lam, size) + pm, km)
+    return spec
+
+
 def normalize_quadric(raw, sample_points=None, config=DEFAULT_CONFIG,
                       fit_degree=2):
     """Reduce a raw defining series to quadric normal form on a sample grid.
@@ -423,31 +434,15 @@ def normalize_quadric(raw, sample_points=None, config=DEFAULT_CONFIG,
     points = sample_points or sample_grid(raw.nvars, raw.validity_radius)
     points = [tuple(float(v) for v in p) for p in points]
     change = CoordinateChange()
-    mats, lams = {}, []
+    mats = []
     for x in points:
-        mat, rec = _normalize_slice(raw.slice_matrix(x), x, config)
-        change.records[x] = rec
-        mats[x] = mat
-        lams.append(rec.lam)
+        mat, change.records[x] = _normalize_slice(raw.slice_matrix(x), x, config)
+        mats.append(mat)
     change.fit_over(points, raw.nvars, fit_degree)
-
-    max_degree = raw.series.max_degree
-    lam_fit = fit_parampoly(points, lams, raw.nvars, fit_degree)
-    p_mats, k_mats = [], []
-    for x in points:
-        lam_val = change.records[x].lam
-        p_mats.append(real_part_matrix(mats[x]) - quadric_matrix(lam_val, max_degree + 1))
-        k_mats.append(imag_part_matrix(mats[x]))
     # l is a placeholder until kill_imaginary_part assigns the real order
-    spec = ManifoldSpec(
-        n=raw.n, l=7, lam=lam_fit,
-        p=fit_series(points, p_mats, raw.nvars, max_degree, fit_degree),
-        k=fit_series(points, k_mats, raw.nvars, max_degree, fit_degree),
-        validity_radius=raw.validity_radius)
-    for x, pm, km in zip(points, p_mats, k_mats):
-        spec.store_sample(x, change.records[x].lam,
-                          quadric_matrix(change.records[x].lam, max_degree + 1) + pm,
-                          km)
+    spec = _assemble_spec(raw.n, 7, raw.nvars, points,
+                          [change.records[x].lam for x in points], mats,
+                          raw.series.max_degree, raw.validity_radius, fit_degree)
     return spec, change
 
 
@@ -522,7 +517,7 @@ def kill_imaginary_part(spec, l, change=None, config=DEFAULT_CONFIG,
     if not points:
         raise SchemaViolation("spec carries no sample table; run normalize_quadric")
     size = spec.max_degree + 1
-    new_mats = {}
+    new_mats = []
     for x in points:
         lam_val, qp, kmat = spec.samples[x]
         s = qp + 1j * kmat
@@ -541,30 +536,18 @@ def kill_imaginary_part(spec, l, change=None, config=DEFAULT_CONFIG,
             if stage_res > 1e-10 * (1.0 + np.max(np.abs(defect))):
                 raise SingularNormalizationMatrix(
                     f"stage {m} left residual {stage_res:.3e} at X={x}")
-        new_mats[x] = s
+        new_mats.append(s)
 
     nvars = spec.nvars
-    lam_fit = fit_parampoly(points, [spec.samples[x][0] for x in points],
-                            nvars, fit_degree)
-    p_mats = [real_part_matrix(new_mats[x])
-              - quadric_matrix(spec.samples[x][0], size) for x in points]
-    k_mats = [imag_part_matrix(new_mats[x]) for x in points]
-    out = ManifoldSpec(
-        n=spec.n, l=l, lam=lam_fit,
-        p=fit_series(points, p_mats, nvars, spec.max_degree, fit_degree),
-        k=fit_series(points, k_mats, nvars, spec.max_degree, fit_degree),
-        validity_radius=spec.validity_radius)
-    for x, pm, km in zip(points, p_mats, k_mats):
-        lam_val = spec.samples[x][0]
-        out.store_sample(x, lam_val, quadric_matrix(lam_val, size) + pm, km)
-    bm_points = points
-    stages = sorted({m for x in bm_points for m in change.records[x].bm})
+    out = _assemble_spec(spec.n, l, nvars, points, [spec.samples[x][0] for x in points],
+                         new_mats, spec.max_degree, spec.validity_radius, fit_degree)
+    stages = sorted({m for x in points for m in change.records[x].bm})
     for m in stages:
-        keys = sorted({jk for x in bm_points for jk in change.records[x].bm.get(m, {})})
+        keys = sorted({jk for x in points for jk in change.records[x].bm.get(m, {})})
         change.bm_fits[m] = {
-            jk: fit_complex(bm_points,
+            jk: fit_complex(points,
                             [change.records[x].bm.get(m, {}).get(jk, 0.0)
-                             for x in bm_points], nvars, fit_degree)
+                             for x in points], nvars, fit_degree)
             for jk in keys}
     return out, change
 

@@ -66,12 +66,6 @@ class ParamPoly:
     def const(value, nvars, degree=2):
         return ParamPoly(nvars, degree, {(0,) * nvars: value})
 
-    @staticmethod
-    def variable(index, nvars, degree=2):
-        exp = [0] * nvars
-        exp[index] = 1
-        return ParamPoly(nvars, degree, {tuple(exp): 1.0})
-
     # -- helpers -----------------------------------------------------------
     def _check(self, other):
         if self.nvars != other.nvars:
@@ -235,12 +229,6 @@ class BidegreeSeries:
         return self.coeffs.get((j, k),
                                ComplexParam.zero(self.nvars, self.param_degree))
 
-    def degree_terms(self, degree):
-        return {jk: c for jk, c in self.coeffs.items() if sum(jk) == degree}
-
-    def min_degree(self):
-        return min((j + k for j, k in self.coeffs), default=None)
-
     def _check(self, other):
         if self.nvars != other.nvars:
             raise ParameterDimensionMismatch(
@@ -313,11 +301,6 @@ class BidegreeSeries:
         for _ in range(n):
             result = result * self
         return result
-
-    def truncate(self, max_degree):
-        deg = min(self.max_degree, max_degree)
-        return BidegreeSeries(self.nvars, deg, self.param_degree,
-                              dict(self.coeffs))
 
     # -- conjugation and reality -------------------------------------------
     def conjugate_series(self):

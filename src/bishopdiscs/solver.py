@@ -53,11 +53,6 @@ def linearized_level(ops, f):
     return np.real(ops.c_complex * np.asarray(f, dtype=complex))
 
 
-def _winding(values):
-    ang = np.unwrap(np.angle(np.append(values, values[0])))
-    return int(np.round((ang[-1] - ang[0]) / (2 * np.pi)))
-
-
 def build_slice_operators(curve, cmap, config=DEFAULT_CONFIG):
     """Assemble C, |C|, arg C, C* and D on the conformal boundary grid."""
     data = curve.data
@@ -70,7 +65,7 @@ def build_slice_operators(curve, cmap, config=DEFAULT_CONFIG):
         raise ZeroOnCurve(
             f"linearization coefficient nearly vanishes: min |C| = "
             f"{np.min(np.abs(c)):.3e}, max |C| = {peak:.3e}")
-    w = _winding(c.astype(complex))
+    w = fourier.winding_number(c)
     if w != 0:
         raise NonzeroWinding(f"argument of C winds {w} times around 0")
     arg_c = np.unwrap(np.angle(c.astype(complex)))
@@ -145,22 +140,21 @@ class DiscSolution:
     center_height_residual: float = 0.0
 
 
-def solve_slice(spec, slice_params, config=DEFAULT_CONFIG, tol=None, max_iter=None):
+def solve_slice(spec, slice_params, config=DEFAULT_CONFIG):
     """Trace, map and solve one slice end to end."""
     curve = trace_level_curve(spec, slice_params, config.ntheta, config)
     cmap = riemann_map(curve, config)
     ops = build_slice_operators(curve, cmap, config)
-    return solve_u(curve, cmap, ops, tol=tol, max_iter=max_iter, config=config)
+    return solve_u(curve, cmap, ops, config)
 
 
-def solve_u(curve, cmap, ops, tol=None, max_iter=None, config=DEFAULT_CONFIG):
+def solve_u(curve, cmap, ops, config=DEFAULT_CONFIG):
     """Damped Picard iteration for the real boundary unknown U."""
     r = curve.r
     n = cmap.n
     zb = cmap.boundary_z
     kmat = curve.data.k
-    tol_eff = max(tol if tol is not None else 1e-12 * r ** 2, 4e-16)
-    max_iter = max_iter or config.solve_max_iter
+    tol_eff = max(config.solve_tol * r ** 2, 4e-16)
 
     def rhs(u):
         f = (u + 1j * fourier.conjugate_samples(u)) / ops.d_samples
@@ -178,7 +172,7 @@ def solve_u(curve, cmap, ops, tol=None, max_iter=None, config=DEFAULT_CONFIG):
     stall = 0
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, config.solve_max_iter + 1):
         target, f, omdev, kvals = rhs(u)
         step = target - u
         step_norm = float(np.max(np.abs(step)))

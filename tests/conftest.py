@@ -11,6 +11,9 @@ from bishopdiscs.solver import solve_slice
 # r sweep used by the decay-rate experiments
 RATE_R_LIST = (0.02, 0.03, 0.045, 0.068, 0.1)
 
+# solver tolerance driven to its noise floor, for rate and refinement checks
+TIGHT_CONFIG = PipelineConfig(solve_tol=1e-22)
+
 
 def perturbed_slice(lam, cubic=0.1, max_degree=10):
     """Slice data for q + cubic * Re z^3 (parameter-free)."""
@@ -51,5 +54,5 @@ def rate_family():
     """Tightly solved slices of the order-7 family over the rate r list."""
     spec = make_spec(lam=0.2, cubic=0.0, k7=0.05)
     x0 = (0.0, 0.0)
-    return {r: solve_slice(spec, SliceParams(x0, r), tol=1e-22)
+    return {r: solve_slice(spec, SliceParams(x0, r), TIGHT_CONFIG)
             for r in RATE_R_LIST}

@@ -13,10 +13,10 @@ from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
 from bishopdiscs.discs import build_disc, radial_derivative_of_u, sweep
-from bishopdiscs.hilbert import HilbertOperator, origin_imaginary_residual
+from bishopdiscs.hilbert import origin_imaginary_residual
 from bishopdiscs.normal_form import normalize_full, recenter_cr_singularity
 from bishopdiscs.solver import build_slice_operators, solve_slice, solve_u
-from conftest import RATE_R_LIST, make_spec
+from conftest import RATE_R_LIST, TIGHT_CONFIG, make_spec
 from test_conformal import elliptic_integral_deriv
 from test_normal_form import full_raw_example, offset_raw
 
@@ -76,9 +76,9 @@ def test_criterion_2_hilbert_identities():
         assert worst < 1e-11
         assert np.all(fourier.conjugate_samples(np.ones(256)) == 0.0)
         curve = trace_level_curve(quadric_slice(0.25), SliceParams(X0, 0.1))
-        op = HilbertOperator(riemann_map(curve))
-        phi = op.cmap.boundary_z.real
-        origin = origin_imaginary_residual(op, phi) / np.max(np.abs(phi))
+        cmap = riemann_map(curve)
+        phi = cmap.boundary_z.real
+        origin = origin_imaginary_residual(cmap, phi) / np.max(np.abs(phi))
         assert origin < 1e-9
     report(2, f"conjugation identities to {worst:.1e}, origin residual {origin:.1e}",
            tm, 1.0)
@@ -104,9 +104,9 @@ def test_criterion_4_decay_rates():
         spec = make_spec(lam=0.2, cubic=0.0, k7=0.05)
         norms, dr_norms = [], []
         for r in RATE_R_LIST:
-            sol = solve_slice(spec, SliceParams(X0, r), tol=1e-22)
+            sol = solve_slice(spec, SliceParams(X0, r), TIGHT_CONFIG)
             norms.append(sol.norm_u)
-            du = radial_derivative_of_u(spec, SliceParams(X0, r), tol=1e-22)
+            du = radial_derivative_of_u(spec, SliceParams(X0, r), TIGHT_CONFIG)
             dr_norms.append(fourier.sup_norm(du))
         slope_u = float(np.polyfit(np.log(RATE_R_LIST), np.log(norms), 1)[0])
         slope_dr = float(np.polyfit(np.log(RATE_R_LIST), np.log(dr_norms), 1)[0])
@@ -166,9 +166,9 @@ def test_criterion_7_grid_refinement():
         spec = make_spec(lam=0.2, cubic=0.0, k7=0.05)
         worst = 0.0
         for r in RATE_R_LIST:
-            base = solve_slice(spec, SliceParams(X0, r), tol=1e-22)
+            base = solve_slice(spec, SliceParams(X0, r), TIGHT_CONFIG)
             fine = solve_slice(spec, SliceParams(X0, r),
-                               config=PipelineConfig(ntheta=512), tol=1e-22)
+                               config=PipelineConfig(ntheta=512, solve_tol=1e-22))
             worst = max(worst, abs(fine.norm_u - base.norm_u) / base.norm_u)
         assert worst < 1e-9, f"relative norm change {worst:.3e}"
     report(7, f"doubling the grid changes the norms by {worst:.1e} relative", tm, 60.0)

@@ -38,6 +38,18 @@ def test_sweep_order7_reports_rate(tmp_path):
     assert len(csv_text) == 1 + 5
 
 
+def test_sweep_honours_tolerance(tmp_path):
+    args = ["sweep", "--spec", "builtin:order7", "--r-list", "0.05,0.1"]
+    iterations = {}
+    for tol in ("1e-12", "1e-4"):
+        out = tmp_path / tol
+        assert main(args + ["--tol", tol, "--out", str(out)]) == 0
+        report = json.loads((out / "sweep_report.json").read_text())
+        iterations[tol] = [s["iterations"] for s in report["report"]["slices"]]
+    assert all(loose < tight for loose, tight in zip(iterations["1e-4"],
+                                                     iterations["1e-12"]))
+
+
 def test_reports_are_byte_identical(tmp_path):
     args = ["disc", "--spec", "builtin:order7", "--r-list", "0.05,0.1",
             "--seed", "3"]

@@ -7,9 +7,11 @@ from math import comb
 from scipy.special import ellipk
 
 from bishopdiscs import fourier
+from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
-from conftest import perturbed_slice
+from bishopdiscs.errors import NoConvergence
+from conftest import make_spec, perturbed_slice
 
 X0 = (0.0, 0.0)
 
@@ -169,3 +171,14 @@ def test_high_eccentricity_map_is_node_consistent():
     conic = 1.9 * w.real ** 2 + 0.1 * w.imag ** 2
     assert np.max(np.abs(conic - 1.0)) < 1e-8
     assert cmap.eps_condition > 1.0  # diagnostic exposes the hard regime
+
+
+def test_under_resolved_map_names_the_grid_fix():
+    # at lam = 0.35 the 256-point grid leaves |sigma(0)| near 7e-8; doubling
+    # the grid resolves the map
+    spec = make_spec(lam=0.35, cubic=0.1, k7=0.05)
+    coarse, fine = PipelineConfig(ntheta=256), PipelineConfig(ntheta=512)
+    with pytest.raises(NoConvergence, match="under-resolves.*ntheta = 512"):
+        riemann_map(trace_level_curve(spec, SliceParams(X0, 0.1), config=coarse), coarse)
+    cmap = riemann_map(trace_level_curve(spec, SliceParams(X0, 0.1), config=fine), fine)
+    assert cmap.deriv_at_zero > 0

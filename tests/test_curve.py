@@ -18,7 +18,7 @@ def test_circle_for_zero_lambda():
     r = 0.1
     curve = trace_level_curve(quadric_slice(0.0), SliceParams(X0, r))
     assert np.max(np.abs(curve.rho - r)) < 1e-14
-    assert curve.winding_number() == 1
+    assert fourier.winding_number(curve.points) == 1
 
 
 def test_ellipse_semi_axes():

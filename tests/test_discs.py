@@ -12,7 +12,7 @@ from bishopdiscs.discs import (
 )
 from bishopdiscs.errors import StencilOutOfRange, TargetTooCloseToBoundary
 from bishopdiscs.solver import solve_slice
-from conftest import RATE_R_LIST, make_spec
+from conftest import RATE_R_LIST, TIGHT_CONFIG, make_spec
 
 X0 = (0.0, 0.0)
 
@@ -132,7 +132,7 @@ def test_probe_theta_derivative_rate(rate_family):
 
 def test_probe_radial_derivative_rate():
     spec = make_spec()
-    vals = [derivative_bound_probe(spec, SliceParams(X0, r), 0, 1, tol=1e-22)
+    vals = [derivative_bound_probe(spec, SliceParams(X0, r), 0, 1, TIGHT_CONFIG)
             for r in RATE_R_LIST]
     slope = fit_loglog_slope(RATE_R_LIST, vals)
     assert 3.5 <= slope <= 4.5
@@ -148,7 +148,7 @@ def test_probe_range_guards():
 
 def test_jacobian_defect_small_and_shrinking():
     spec = make_spec(cubic=0.1)
-    defects = [jacobian_defect(spec, SliceParams(X0, r), tol=1e-22)
+    defects = [jacobian_defect(spec, SliceParams(X0, r), TIGHT_CONFIG)
                for r in (0.1, 0.03)]
     assert defects[1] < defects[0]
     assert defects[1] < 0.05
@@ -160,7 +160,7 @@ def test_jacobian_probe_is_sensitive(rate_family):
     spec = make_spec()
     sol = rate_family[0.1]
     shifted = dataclasses.replace(sol, f_samples=sol.f_samples + 1e-4)
-    defect = jacobian_defect(spec, SliceParams(X0, 0.1), tol=1e-22,
+    defect = jacobian_defect(spec, SliceParams(X0, 0.1), TIGHT_CONFIG,
                              base_solution=shifted)
     assert 0.5e-4 < defect < 2e-4
 
@@ -185,7 +185,7 @@ def test_quadric_sweep_disjoint_and_nested():
 
 def test_l7_sweep_rates_and_jacobian():
     spec = make_spec(cubic=0.1)
-    report = sweep(spec, [X0], [0.03, 0.05, 0.07, 0.1], tol=1e-22)
+    report = sweep(spec, [X0], [0.03, 0.05, 0.07, 0.1], TIGHT_CONFIG)
     assert not report.failures
     fit = report.rate_fits[0]
     assert 4.5 <= fit["slope_norm_u"] <= 5.5

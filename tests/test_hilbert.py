@@ -7,8 +7,8 @@ from bishopdiscs import fourier
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
 from bishopdiscs.errors import AliasingRisk, GridMismatch
+from bishopdiscs.fourier import conjugate_samples
 from bishopdiscs.hilbert import (
-    HilbertOperator, analytic_completion, conjugate_on_circle,
     discrete_holder_norm, eval_trig_poly, hilbert_on_curve, norm_probe,
     origin_imaginary_residual, random_trig_poly,
 )
@@ -21,12 +21,12 @@ X0 = (0.0, 0.0)
 
 def test_conjugation_identities_up_to_degree_32():
     for n in range(1, 33):
-        assert np.max(np.abs(conjugate_on_circle(np.cos(n * T)) - np.sin(n * T))) < 1e-11
-        assert np.max(np.abs(conjugate_on_circle(np.sin(n * T)) + np.cos(n * T))) < 1e-11
+        assert np.max(np.abs(conjugate_samples(np.cos(n * T)) - np.sin(n * T))) < 1e-11
+        assert np.max(np.abs(conjugate_samples(np.sin(n * T)) + np.cos(n * T))) < 1e-11
 
 
 def test_conjugation_annihilates_constants_exactly():
-    out = conjugate_on_circle(np.ones(N))
+    out = conjugate_samples(np.ones(N))
     assert np.all(out == 0.0)
 
 
@@ -34,7 +34,7 @@ def test_double_conjugation_negates_zero_mean_part():
     rng = np.random.default_rng(1)
     coeffs = random_trig_poly(rng, degree=20)
     phi = eval_trig_poly(coeffs, T)
-    twice = conjugate_on_circle(conjugate_on_circle(phi))
+    twice = conjugate_samples(conjugate_samples(phi))
     assert np.max(np.abs(twice + (phi - np.mean(phi)))) < 1e-12
 
 
@@ -43,55 +43,49 @@ def test_linearity():
     phi = eval_trig_poly(random_trig_poly(rng), T)
     psi = eval_trig_poly(random_trig_poly(rng), T)
     a, b = 1.7, -0.3
-    lhs = conjugate_on_circle(a * phi + b * psi)
-    rhs = a * conjugate_on_circle(phi) + b * conjugate_on_circle(psi)
+    lhs = conjugate_samples(a * phi + b * psi)
+    rhs = a * conjugate_samples(phi) + b * conjugate_samples(psi)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-@pytest.fixture(scope="module")
-def ellipse_operator(ellipse_map):
-    return HilbertOperator(ellipse_map)
 
 
 def test_circle_operator_reduces_to_model():
     curve = trace_level_curve(quadric_slice(0.0), SliceParams(X0, 0.1))
-    op = HilbertOperator(riemann_map(curve))
-    out = hilbert_on_curve(op, np.cos(T))
+    out = hilbert_on_curve(riemann_map(curve), np.cos(T))
     assert np.max(np.abs(out - np.sin(T))) < 1e-12
 
 
-def test_constants_map_to_zero_on_any_curve(ellipse_operator):
-    out = hilbert_on_curve(ellipse_operator, np.full(N, 3.7))
+def test_constants_map_to_zero_on_any_curve(ellipse_map):
+    out = hilbert_on_curve(ellipse_map, np.full(N, 3.7))
     assert np.max(np.abs(out)) == 0.0
 
 
-def test_origin_normalization_on_ellipse(ellipse_operator):
-    phi = ellipse_operator.cmap.boundary_z.real  # Re z restricted to the curve
-    res = origin_imaginary_residual(ellipse_operator, phi)
+def test_origin_normalization_on_ellipse(ellipse_map):
+    phi = ellipse_map.boundary_z.real  # Re z restricted to the curve
+    res = origin_imaginary_residual(ellipse_map, phi)
     assert res < 1e-9 * np.max(np.abs(phi))
 
 
-def test_completion_is_holomorphic(ellipse_operator):
+def test_completion_is_holomorphic(ellipse_map):
     rng = np.random.default_rng(3)
     phi = eval_trig_poly(random_trig_poly(rng), T)
-    completion = analytic_completion(ellipse_operator, phi)
+    completion = phi + 1j * hilbert_on_curve(ellipse_map, phi)
     frac = fourier.negative_energy_fraction(completion - np.mean(completion))
     assert frac < 1e-8
 
 
-def test_grid_mismatch(ellipse_operator):
+def test_grid_mismatch(ellipse_map):
     with pytest.raises(GridMismatch):
-        hilbert_on_curve(ellipse_operator, np.ones(128))
+        hilbert_on_curve(ellipse_map, np.ones(128))
 
 
-def test_aliasing_guard(ellipse_operator):
+def test_aliasing_guard(ellipse_map):
     rough = np.cos((3 * N // 8 + 5) * T)
     with pytest.raises(AliasingRisk):
-        hilbert_on_curve(ellipse_operator, rough)
+        hilbert_on_curve(ellipse_map, rough)
 
 
-def test_probe_vanishes_without_perturbation(ellipse_operator):
-    assert norm_probe(ellipse_operator, j=0, trials=10) < 1e-10
+def test_probe_vanishes_without_perturbation(ellipse_map):
+    assert norm_probe(ellipse_map, j=0, trials=10) < 1e-10
 
 
 def test_probe_scales_linearly_in_r():
@@ -99,17 +93,16 @@ def test_probe_scales_linearly_in_r():
     r_list = [0.02, 0.04, 0.08]
     for r in r_list:
         curve = trace_level_curve(perturbed_slice(0.25, cubic=0.1), SliceParams(X0, r))
-        op = HilbertOperator(riemann_map(curve))
-        gaps.append(norm_probe(op, j=0, trials=10))
+        gaps.append(norm_probe(riemann_map(curve), j=0, trials=10))
     slope = np.polyfit(np.log(r_list), np.log(gaps), 1)[0]
     assert 0.7 <= slope <= 1.3
 
 
 def test_probe_finite_in_higher_norms():
     curve = trace_level_curve(perturbed_slice(0.25, cubic=0.1), SliceParams(X0, 0.05))
-    op = HilbertOperator(riemann_map(curve))
-    p0 = norm_probe(op, j=0, trials=10)
-    p2 = norm_probe(op, j=2, trials=10)
+    cmap = riemann_map(curve)
+    p0 = norm_probe(cmap, j=0, trials=10)
+    p2 = norm_probe(cmap, j=2, trials=10)
     assert np.isfinite(p0) and np.isfinite(p2)
     assert p2 >= 0.0
 

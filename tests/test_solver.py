@@ -12,7 +12,7 @@ from bishopdiscs.solver import (
     build_slice_operators, linearized_level, omega, omega_deviation,
     solve_slice, solve_u,
 )
-from conftest import RATE_R_LIST, make_spec, perturbed_slice
+from conftest import RATE_R_LIST, TIGHT_CONFIG, make_spec, perturbed_slice
 
 X0 = (0.0, 0.0)
 
@@ -135,9 +135,9 @@ def test_l7_halved_spacing_cross_check():
     # solved norm unchanged to spectral accuracy
     from bishopdiscs.config import PipelineConfig
     spec = make_spec()
-    base = solve_slice(spec, SliceParams(X0, 0.08), tol=1e-22)
+    base = solve_slice(spec, SliceParams(X0, 0.08), TIGHT_CONFIG)
     fine = solve_slice(spec, SliceParams(X0, 0.08),
-                       config=PipelineConfig(ntheta=512), tol=1e-22)
+                       config=PipelineConfig(ntheta=512, solve_tol=1e-22))
     rel = abs(fine.norm_u - base.norm_u) / base.norm_u
     assert rel < 1e-9
 
