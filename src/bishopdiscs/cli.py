@@ -23,7 +23,7 @@ from .errors import PipelineError
 from .figures import curve_family_svg, mapped_grid_svg, write_svg
 from .hilbert import eval_trig_poly, origin_imaginary_residual, random_trig_poly
 from .normal_form import RawDefiningSeries, normalize_full
-from .solver import solve_slice
+from .solver import solve_slice, step_tolerance
 
 
 @dataclass
@@ -107,7 +107,7 @@ def write_report(out_dir, name, payload, run_config):
 def cmd_normalize(spec, run_config):
     if not isinstance(spec, RawDefiningSeries):
         raise PipelineError("normalize expects a raw defining series ('raw' field)")
-    out, change = normalize_full(spec, l=7, config=run_config.pipeline_config())
+    out, change = normalize_full(spec, l=7)
     specio.save(out, Path(run_config.out_dir) / "normalized_spec.json")
     records = {}
     for x in sorted(change.records):
@@ -161,8 +161,8 @@ def cmd_curve(spec, run_config):
     rows = []
     figures = []
     for sp in _slices(spec, run_config):
-        curve = trace_level_curve(spec, sp, cfg.ntheta, cfg)
-        cmap = riemann_map(curve, cfg)
+        curve = trace_level_curve(spec, sp, cfg)
+        cmap = riemann_map(curve)
         rows.append({
             "x": list(sp.x), "r": sp.r,
             "traceResidual": float(np.max(curve.residual())),
@@ -246,7 +246,7 @@ def cmd_sweep(spec, run_config):
             for r in run_config.r_list:
                 try:
                     curves.append(trace_level_curve(
-                        spec, SliceParams(x, r), cfg.ntheta, cfg).points)
+                        spec, SliceParams(x, r), cfg).points)
                 except PipelineError:
                     continue
             if curves:
@@ -279,7 +279,7 @@ def cmd_verify(spec, run_config):
         sol = solve_slice(spec, sp, cfg)
         disc = build_disc(spec, sp, sol, cfg)
         label = f"x={list(sp.x)},r={sp.r}"
-        check(f"fixed_point[{label}]", sol.residual, 10 * cfg.solve_tol * sp.r ** 2)
+        check(f"fixed_point[{label}]", sol.residual, 10 * step_tolerance(sp.r, cfg))
         check(f"attachment[{label}]", disc.boundary_residual, 1e-8)
         check(f"center_offset[{label}]", disc.center_offset, 1e-10)
         check(f"center_height[{label}]", disc.center_height_residual, 1e-8)

@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .config import DEFAULT_CONFIG
 from .errors import NoConvergence
 from .curve import BoundaryCurve
+
+MAP_TOL = 1e-11        # sup norm of the correspondence residual
+MAP_MAX_ITER = 200     # Newton steps over all homotopy stages
 
 
 def _conjugation_matrix(n):
@@ -65,7 +67,7 @@ class ConformalMap:
         dcoeffs = self.coeffs[1:] * np.arange(1, len(self.coeffs))
         return fourier.eval_taylor(dcoeffs, zeta)
 
-    def invert(self, z_targets, tol=1e-13, max_iter=80):
+    def invert(self, z_targets):
         """Solve r * sigma(w) = z for w in the closed unit disc (Newton)."""
         targets = np.atleast_1d(np.asarray(z_targets, dtype=complex))
         # start from the boundary node nearest each target, pulled inward
@@ -73,9 +75,9 @@ class ConformalMap:
         w = 0.9 * np.exp(1j * fourier.grid(self.n)[idx])
         small = np.abs(targets) < 0.5 * np.min(np.abs(self.boundary_z))
         w[small] = targets[small] / (self.r * self.deriv_at_zero)
-        for _ in range(max_iter):
+        for _ in range(80):
             f = self.r * self.sigma(w) - targets
-            if np.max(np.abs(f)) < tol * self.r:
+            if np.max(np.abs(f)) < 1e-13 * self.r:
                 break
             dw = f / (self.r * self.sigma_prime(w))
             w = w - dw
@@ -85,7 +87,7 @@ class ConformalMap:
         return w
 
 
-def _newton_stage(g, psi, conj_mat, t, tol, budget):
+def _newton_stage(g, psi, conj_mat, t, budget):
     """Damped Newton on psi - H[g(t + psi)] = 0; returns (psi, used, residual)."""
     dg = fourier.derivative(g)
 
@@ -96,7 +98,7 @@ def _newton_stage(g, psi, conj_mat, t, tol, budget):
     used = 0
     while used < budget:
         res_norm = np.max(np.abs(res))
-        if res_norm < tol:
+        if res_norm < MAP_TOL:
             return psi, used, res_norm
         slope = np.real(fourier.eval_interpolant(dg, t + psi))
         jac = np.eye(len(psi)) - conj_mat * slope[None, :]
@@ -105,7 +107,7 @@ def _newton_stage(g, psi, conj_mat, t, tol, budget):
         while alpha > 1.0 / 64.0:
             trial = psi + alpha * delta
             trial_norm = np.max(np.abs(residual(trial)))
-            if trial_norm < res_norm * (1.0 - 0.25 * alpha) or trial_norm < tol:
+            if trial_norm < res_norm * (1.0 - 0.25 * alpha) or trial_norm < MAP_TOL:
                 break
             alpha *= 0.5
         psi = psi + alpha * delta
@@ -114,7 +116,7 @@ def _newton_stage(g, psi, conj_mat, t, tol, budget):
     return psi, used, np.max(np.abs(res))
 
 
-def riemann_map(curve, config=DEFAULT_CONFIG):
+def riemann_map(curve):
     """Boundary correspondence of the normalized map for a star-shaped curve."""
     n = len(curve.theta_grid)
     t = fourier.grid(n)
@@ -128,10 +130,9 @@ def riemann_map(curve, config=DEFAULT_CONFIG):
     res_norm = np.max(np.abs(psi))
     for stage in range(1, n_stages + 1):
         g = g_full if stage == n_stages else (stage / n_stages) * g_full
-        psi, used, res_norm = _newton_stage(
-            g, psi, conj_mat, t, config.map_tol, config.map_max_iter - iterations)
+        psi, used, res_norm = _newton_stage(g, psi, conj_mat, t, MAP_MAX_ITER - iterations)
         iterations += used
-        if res_norm >= config.map_tol:
+        if res_norm >= MAP_TOL:
             raise NoConvergence(
                 f"correspondence iteration stalled at residual {res_norm:.3e} "
                 f"(shape condition eps = {eps_grid:.3f})")
@@ -139,7 +140,7 @@ def riemann_map(curve, config=DEFAULT_CONFIG):
     theta = t + psi
     g_at = np.real(fourier.eval_interpolant(g_full, theta))
     boundary_sigma = np.exp(g_at) * np.exp(1j * theta)
-    coeffs = fourier.taylor_from_boundary(boundary_sigma, config.taylor_count())
+    coeffs = fourier.taylor_from_boundary(boundary_sigma, n // 4)   # n: curve grid
     if abs(coeffs[0]) > 1e-9:
         raise NoConvergence(
             f"map does not fix the origin: sigma(0) = {coeffs[0]:.3e}; the grid "

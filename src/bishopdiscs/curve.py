@@ -16,6 +16,9 @@ from .config import DEFAULT_CONFIG
 from .errors import NoRoot, NotStarShaped, ValidityEscape
 from .series import eval_matrix, matrix_derivative_z, quadric_series
 
+TRACE_TOL = 1e-13      # level-equation defect, relative to r**2
+R_MAX = 0.2            # largest slice radius the series is trusted at
+
 
 @dataclass(frozen=True)
 class SliceParams:
@@ -117,16 +120,16 @@ def check_radial_monotonicity(data, r, n_theta=64, n_rho=24, reach=None):
                 "reduce r or the perturbation")
 
 
-def trace_level_curve(spec, slice_params, n_theta=None, config=DEFAULT_CONFIG):
-    """Sample the slice boundary at n_theta equispaced polar angles.
+def trace_level_curve(spec, slice_params, config=DEFAULT_CONFIG):
+    """Sample the slice boundary at config.ntheta equispaced polar angles.
 
     spec may be a ManifoldSpec (anything with .slice_at) or a SliceData.
     """
     data = spec.slice_at(slice_params.x) if hasattr(spec, "slice_at") else spec
-    n = n_theta or config.ntheta
+    n = config.ntheta
     r = slice_params.r
-    if r > config.r_max:
-        raise ValidityEscape(f"slice radius {r} exceeds configured r_max {config.r_max}")
+    if r > R_MAX:
+        raise ValidityEscape(f"slice radius {r} exceeds r_max = {R_MAX}; reduce r")
     radius = getattr(spec, "validity_radius", None)
     if radius is not None and np.linalg.norm(slice_params.x_array()) > radius + 1e-12:
         raise ValidityEscape(
@@ -139,7 +142,7 @@ def trace_level_curve(spec, slice_params, n_theta=None, config=DEFAULT_CONFIG):
     base = 1.0 + 2.0 * data.lam * np.cos(2 * theta)
     rho = r / np.sqrt(np.maximum(base, 1e-8))
 
-    tol = config.trace_tol * target
+    tol = TRACE_TOL * target
     reach = _ray_reach(data.lam)
     lo = np.full(n, 1e-12 * r)
     hi = np.full(n, reach * r)

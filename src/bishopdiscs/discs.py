@@ -14,9 +14,13 @@ import numpy as np
 
 from . import fourier
 from .config import DEFAULT_CONFIG
-from .curve import SliceParams
+from .curve import R_MAX, SliceParams
 from .errors import PipelineError, StencilOutOfRange, TargetTooCloseToBoundary
 from .solver import DiscSolution, solve_slice
+
+FD_R_FACTOR = 20.0     # radius step of the finite differences is r / FD_R_FACTOR
+FD_X_STEP = 1e-3       # parameter step of the finite differences
+CLOUD_POINTS = 512     # ambient points per disc in the disjointness check
 
 
 # --------------------------------------------------------------------------
@@ -29,7 +33,8 @@ def cauchy_extend(cmap, boundary_values, targets, config=DEFAULT_CONFIG):
     Far from the boundary the trapezoid discretization of the Cauchy
     integral over the conformal parameterization is spectrally accurate;
     near the boundary the value is computed instead by inverting the map
-    and summing the Taylor series of the composition.
+    and summing the Taylor series of the composition. config is not read;
+    the map carries the grid.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=complex))
     g = np.asarray(boundary_values, dtype=complex)
@@ -75,13 +80,13 @@ class AttachedDisc:
     center_height_residual: float
     solution: DiscSolution
 
-    def ambient_points(self, max_points=512):
+    def ambient_points(self):
         """Flattened sample of ambient coordinates (Re z, Im z, X, Re w, Im w)."""
         z = self.z_values.ravel()
         w = self.w_values.ravel()
-        stride = max(1, len(z) // max_points)
-        z = z[::stride][:max_points]
-        w = w[::stride][:max_points]
+        stride = max(1, len(z) // CLOUD_POINTS)
+        z = z[::stride][:CLOUD_POINTS]
+        w = w[::stride][:CLOUD_POINTS]
         x = np.asarray(self.slice.x, dtype=float)
         cols = [z.real, z.imag]
         cols.extend(np.full(len(z), xv) for xv in x)
@@ -97,14 +102,14 @@ def interior_grid(n_radii, ntheta):
     return radii[:, None] * np.exp(1j * t)[None, :]
 
 
-def build_disc(spec, slice_params, solution, config=DEFAULT_CONFIG, n_radii=16):
+def build_disc(spec, slice_params, solution, config=DEFAULT_CONFIG):
     """Populate the interior of one solved slice disc and check attachment."""
     cmap = solution.cmap
     boundary_zc = cmap.boundary_z * (1.0 + solution.f_samples)
     boundary_w = solution.b_samples
-    zeta = interior_grid(n_radii, cmap.n)
+    zeta = interior_grid(16, cmap.n)
     # keep the resolution of the stored map so the disc matches r sigma(zeta)
-    n_coeffs = config.taylor_count()
+    n_coeffs = len(cmap.coeffs)
     z_values = extend_in_disc(boundary_zc, zeta, n_coeffs)
     w_values = extend_in_disc(boundary_w, zeta, n_coeffs)
 
@@ -136,9 +141,9 @@ def fit_loglog_slope(values_x, values_y):
 def radial_derivative_of_u(spec, slice_params, config=DEFAULT_CONFIG):
     """Central finite difference of the boundary unknown in the radius."""
     r = slice_params.r
-    h = r / config.fd_r_factor
-    if not (0.0 < r - h and r + h <= config.r_max):
-        raise StencilOutOfRange(f"radius stencil [{r - h}, {r + h}] leaves (0, r_max]")
+    h = r / FD_R_FACTOR
+    if not (0.0 < r - h and r + h <= R_MAX):
+        raise StencilOutOfRange(f"radius stencil [{r - h}, {r + h}] leaves (0, r_max]; reduce r")
     lo = solve_slice(spec, SliceParams(slice_params.x, r - h), config)
     hi = solve_slice(spec, SliceParams(slice_params.x, r + h), config)
     return (hi.u_samples - lo.u_samples) / (2.0 * h)
@@ -151,9 +156,9 @@ def derivative_bound_probe(spec, slice_params, j, s, config=DEFAULT_CONFIG,
     if j + 2 * s > l - 4:
         raise ValueError(f"probe order (j={j}, s={s}) outside j + 2s <= l - 4")
     r = slice_params.r
-    h = r / config.fd_r_factor
-    if s > 0 and not (0.0 < r - s * h and r + s * h <= config.r_max):
-        raise StencilOutOfRange("radius stencil leaves (0, r_max]")
+    h = r / FD_R_FACTOR
+    if s > 0 and not (0.0 < r - s * h and r + s * h <= R_MAX):
+        raise StencilOutOfRange("radius stencil leaves (0, r_max]; reduce r")
 
     def f_of(rr):
         sol = solve_slice(spec, SliceParams(slice_params.x, rr), config)
@@ -170,7 +175,7 @@ def derivative_bound_probe(spec, slice_params, j, s, config=DEFAULT_CONFIG,
         raise ValueError("radial derivative order above 2 is not implemented")
     if j > 0:
         f = fourier.derivative(f, j)
-    return fourier.sup_norm(f, config.upsample)
+    return fourier.sup_norm(f)
 
 
 def jacobian_defect(spec, slice_params, config=DEFAULT_CONFIG, base_solution=None):
@@ -184,13 +189,13 @@ def jacobian_defect(spec, slice_params, config=DEFAULT_CONFIG, base_solution=Non
     def center_values(solution, z_targets):
         cmap = solution.cmap
         zc = cmap.boundary_z * (1.0 + solution.f_samples)
-        z_ext = cauchy_extend(cmap, zc, z_targets, config)
-        w_ext = cauchy_extend(cmap, solution.b_samples, z_targets, config)
+        z_ext = cauchy_extend(cmap, zc, z_targets)
+        w_ext = cauchy_extend(cmap, solution.b_samples, z_targets)
         return z_ext, w_ext
 
     defects = []
     # z block: expect dZ/dz = 1, dW/dz = 0 (Wirtinger via x/y differences)
-    h = r / config.fd_r_factor
+    h = r / FD_R_FACTOR
     z_ext, w_ext = center_values(sol, [h, -h, 1j * h, -1j * h])
     dz_dx = (z_ext[0] - z_ext[1]) / (2 * h)
     dz_dy = (z_ext[2] - z_ext[3]) / (2 * h)
@@ -198,7 +203,7 @@ def jacobian_defect(spec, slice_params, config=DEFAULT_CONFIG, base_solution=Non
     dw_dy = (w_ext[2] - w_ext[3]) / (2 * h)
     defects.extend([abs(dz_dx - 1.0), abs(dz_dy - 1j), abs(dw_dx), abs(dw_dy)])
     # X block: expect dZ/dX = dW/dX = 0
-    hx = config.fd_x_step
+    hx = FD_X_STEP
     for axis in range(len(x)):
         shift = np.zeros_like(x)
         shift[axis] = hx
@@ -257,8 +262,8 @@ def min_pairwise_distance(points_a, points_b):
     return float(np.sqrt(max(np.min(d2), 0.0)))
 
 
-def _disjointness(discs, max_points=512):
-    clouds = {key: d.ambient_points(max_points) for key, d in discs.items()}
+def _disjointness(discs):
+    clouds = {key: d.ambient_points() for key, d in discs.items()}
     keys = sorted(clouds)
     overall = np.inf
     same_x_margin = np.inf
@@ -330,7 +335,7 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, with_jacobian=True,
                 dr_norms = []
                 for r in rs:
                     du = radial_derivative_of_u(spec, SliceParams(x, r), config)
-                    dr_norms.append(fourier.sup_norm(du, config.upsample))
+                    dr_norms.append(fourier.sup_norm(du))
                 entry["slope_dr_u"] = fit_loglog_slope(rs, dr_norms)
             report.rate_fits.append(entry)
 
@@ -359,7 +364,6 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, with_jacobian=True,
             if not rs:
                 continue
             r = rs[-1]
-            gap = norm_probe(discs[(x, r)].solution.cmap, j=0, trials=10, seed=seed,
-                             config=config)
+            gap = norm_probe(discs[(x, r)].solution.cmap, j=0, seed=seed)
             report.hilbert_gaps.append({"x": list(x), "r": r, "gap": gap})
     return report

@@ -162,7 +162,7 @@ def cauchy_integral(boundary_values, z_samples, z_tangent, targets):
     return vals.sum(axis=1) / (1j * n)
 
 
-def invert_correspondence(theta_samples, theta_targets, tol=1e-13, max_iter=60):
+def invert_correspondence(theta_samples, theta_targets):
     """Solve theta(t) = target for t, for a monotone correspondence.
 
     theta_samples are values of theta at the equispaced t grid with
@@ -174,9 +174,9 @@ def invert_correspondence(theta_samples, theta_targets, tol=1e-13, max_iter=60):
     targets = np.atleast_1d(np.asarray(theta_targets, dtype=float))
     t = targets.copy()
     dpsi = derivative(psi)
-    for _ in range(max_iter):
+    for _ in range(60):
         f = t + eval_interpolant(psi, t) - targets
-        if np.max(np.abs(f)) < tol:
+        if np.max(np.abs(f)) < 1e-13:
             return t
         slope = 1.0 + eval_interpolant(dpsi, t)
         t = t - f / slope

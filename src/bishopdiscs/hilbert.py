@@ -96,25 +96,22 @@ def _transform_on_polar_grid(cmap, coeffs):
     return np.real(fourier.eval_interpolant(h_t, t_star))
 
 
-def norm_probe(cmap, j, trials=16, seed=0, config=None):
+def norm_probe(cmap, j, seed=0):
     """Empirical operator-norm gap between this curve's transform and the
     transform of the unperturbed quadratic-model curve at the same slice.
 
     Both transforms act on trig polynomials of the polar angle and are
     compared on the polar grid in the discrete C^j norm; the gap closes
-    linearly in r when the perturbation is nontrivial.
+    linearly in r when the perturbation is nontrivial. The model map is
+    built on the same grid as cmap.
     """
-    if trials < 10:
-        raise ValueError("need at least 10 trials")
-    cfg = config or PipelineConfig(ntheta=cmap.n)
-    model_curve = trace_level_curve(
-        quadric_slice(cmap.curve.lam, max_degree=cmap.curve.data.qp.shape[0] - 1),
-        cmap.curve.slice, config=cfg)
-    model_map = riemann_map(model_curve, cfg)
+    model = quadric_slice(cmap.curve.lam, max_degree=cmap.curve.data.qp.shape[0] - 1)
+    model_curve = trace_level_curve(model, cmap.curve.slice, PipelineConfig(ntheta=cmap.n))
+    model_map = riemann_map(model_curve)
     rng = np.random.default_rng(seed)
     worst = 0.0
     theta_grid = fourier.grid(cmap.n)
-    for _ in range(trials):
+    for _ in range(10):
         coeffs = random_trig_poly(rng)
         gap = (_transform_on_polar_grid(cmap, coeffs)
                - _transform_on_polar_grid(model_map, coeffs))

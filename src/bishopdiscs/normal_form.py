@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
 from .curve import SliceData
 from .errors import (
     EllipticityViolation, NoConvergence, SchemaViolation,
@@ -34,6 +33,11 @@ from .series import (
     BidegreeSeries, ComplexParam, ParamPoly, eval_matrix,
     matrix_derivative_z, matrix_derivative_zbar, monomials_upto,
 )
+
+NEWTON_MAX_ITER = 50   # recentering Newton steps
+NEWTON_TOL = 1e-12     # |dF/dzbar| accepted after the Newton budget
+ELLIPTICITY_MARGIN = 1e-3  # lambda must stay in [0, 1/2 - ELLIPTICITY_MARGIN]
+FIT_DEGREE = 2         # degree of the least-squares parameter fits
 
 
 # --------------------------------------------------------------------------
@@ -143,9 +147,9 @@ def sample_grid(nvars, radius, points_per_axis=3):
     return [tuple(row) for row in pts]
 
 
-def fit_parampoly(points, values, nvars, degree=2):
+def fit_parampoly(points, values, nvars):
     """Least-squares polynomial fit of scalar samples over the grid."""
-    mons = monomials_upto(nvars, degree)
+    mons = monomials_upto(nvars, FIT_DEGREE)
     a = np.zeros((len(points), len(mons)))
     for i, x in enumerate(points):
         for jm, exp in enumerate(mons):
@@ -155,16 +159,16 @@ def fit_parampoly(points, values, nvars, degree=2):
             a[i, jm] = term
     coef, *_ = np.linalg.lstsq(a, np.asarray(values, dtype=float), rcond=None)
     terms = {exp: c for exp, c in zip(mons, coef) if abs(c) > 1e-14}
-    return ParamPoly(nvars, degree, terms)
+    return ParamPoly(nvars, FIT_DEGREE, terms)
 
 
-def fit_complex(points, values, nvars, degree=2):
+def fit_complex(points, values, nvars):
     values = np.asarray(values, dtype=complex)
-    return ComplexParam(fit_parampoly(points, values.real, nvars, degree),
-                        fit_parampoly(points, values.imag, nvars, degree))
+    return ComplexParam(fit_parampoly(points, values.real, nvars),
+                        fit_parampoly(points, values.imag, nvars))
 
 
-def fit_series(points, matrices, nvars, max_degree, degree=2, drop_tol=1e-13):
+def fit_series(points, matrices, nvars, max_degree, drop_tol=1e-13):
     """Coefficient-wise parameter fit of a family of slice matrices."""
     coeffs = {}
     size = matrices[0].shape[0]
@@ -175,8 +179,8 @@ def fit_series(points, matrices, nvars, max_degree, degree=2, drop_tol=1e-13):
             vals = np.array([m[j, k] for m in matrices])
             if np.max(np.abs(vals)) <= drop_tol:
                 continue
-            coeffs[(j, k)] = fit_complex(points, vals, nvars, degree)
-    return BidegreeSeries(nvars, max_degree, degree, coeffs)
+            coeffs[(j, k)] = fit_complex(points, vals, nvars)
+    return BidegreeSeries(nvars, max_degree, FIT_DEGREE, coeffs)
 
 
 # --------------------------------------------------------------------------
@@ -246,7 +250,7 @@ class ManifoldSpec:
         key = tuple(float(v) for v in np.atleast_1d(x))
         self.samples[key] = (float(lam_val), qp, kmat)
 
-    def validate(self, margin=1e-3, coeff_tol=0.0):
+    def validate(self):
         if self.l < 7:
             raise SchemaViolation(f"order parameter l must be >= 7, got {self.l}")
         if not self.p.is_real():
@@ -256,15 +260,15 @@ class ManifoldSpec:
         grid = sample_grid(self.nvars, self.validity_radius)
         for x in grid:
             lam_val = self.lam.evaluate(np.asarray(x))
-            if not (0.0 <= lam_val <= 0.5 - margin):
+            if not (0.0 <= lam_val <= 0.5 - ELLIPTICITY_MARGIN):
                 raise EllipticityViolation(
-                    f"lambda({x}) = {lam_val:.6f} outside [0, 1/2 - {margin}]")
+                    f"lambda({x}) = {lam_val:.6f} outside [0, 1/2 - {ELLIPTICITY_MARGIN}]")
         for (j, k), c in sorted(self.p.coeffs.items()):
-            if j + k <= 2 and _coeff_size(c, grid) > coeff_tol:
+            if j + k <= 2 and _coeff_size(c, grid) > 0.0:
                 raise SchemaViolation(
                     f"P coefficient ({j},{k}) has degree <= 2")
         for (j, k), c in sorted(self.k.coeffs.items()):
-            if j + k < self.l and _coeff_size(c, grid) > coeff_tol:
+            if j + k < self.l and _coeff_size(c, grid) > 0.0:
                 raise SchemaViolation(
                     f"K coefficient ({j},{k}) has degree below l = {self.l}")
         return self
@@ -317,14 +321,13 @@ class CoordinateChange:
                 mat = mat - 1j * compose_w(rec.bm[m], mat)
         return mat
 
-    def fit_over(self, points, nvars, degree=2):
+    def fit_over(self, points, nvars):
         recs = [self.records[tuple(p)] for p in points]
-        self.z0_fit = fit_complex(points, [r.z0 for r in recs], nvars, degree)
-        self.gamma_fit = fit_complex(points, [r.gamma for r in recs], nvars, degree)
-        self.c10_fit = fit_complex(points, [r.c10 for r in recs], nvars, degree)
-        self.theta_fit = fit_parampoly(points, [r.theta for r in recs], nvars, degree)
-        self.quad_absorb_fit = fit_complex(
-            points, [r.quad_absorb for r in recs], nvars, degree)
+        self.z0_fit = fit_complex(points, [r.z0 for r in recs], nvars)
+        self.gamma_fit = fit_complex(points, [r.gamma for r in recs], nvars)
+        self.c10_fit = fit_complex(points, [r.c10 for r in recs], nvars)
+        self.theta_fit = fit_parampoly(points, [r.theta for r in recs], nvars)
+        self.quad_absorb_fit = fit_complex(points, [r.quad_absorb for r in recs], nvars)
         return self
 
 
@@ -332,13 +335,13 @@ class CoordinateChange:
 # operations
 # --------------------------------------------------------------------------
 
-def detect_cr_singularity(raw, x, tol=1e-12):
+def detect_cr_singularity(raw, x):
     """True when the zbar-linear coefficient vanishes at this sample."""
     mat = raw.slice_matrix(x) if hasattr(raw, "slice_matrix") else raw
-    return bool(abs(mat[0, 1]) < tol)
+    return bool(abs(mat[0, 1]) < 1e-12)
 
 
-def recenter_cr_singularity(raw, x, config=DEFAULT_CONFIG):
+def recenter_cr_singularity(raw, x):
     """Translation z0 making the zbar-derivative of the graph vanish at 0.
 
     Damped Newton on the two-real-variable system Re/Im dF/dzbar = 0 with
@@ -351,8 +354,8 @@ def recenter_cr_singularity(raw, x, config=DEFAULT_CONFIG):
 
     z0 = 0.0 + 0.0j
     g = complex(eval_matrix(g_mat, z0))
-    for _ in range(config.newton_max_iter):
-        if abs(g) < config.newton_tol * 1e-2:
+    for _ in range(NEWTON_MAX_ITER):
+        if abs(g) < NEWTON_TOL * 1e-2:
             return z0
         a = complex(eval_matrix(gz_mat, z0))
         b = complex(eval_matrix(gzb_mat, z0))
@@ -371,15 +374,15 @@ def recenter_cr_singularity(raw, x, config=DEFAULT_CONFIG):
             step *= 0.5
         z0 = z0 + step
         g = complex(eval_matrix(g_mat, z0))
-    if abs(g) < config.newton_tol:
+    if abs(g) < NEWTON_TOL:
         return z0
     raise NoConvergence(
         f"recentering Newton stalled at |dF/dzbar| = {abs(g):.3e} for X={x}")
 
 
-def _normalize_slice(mat, x, config):
+def _normalize_slice(mat, x):
     """Run steps 1-3 on one slice matrix; returns (matrix, StageRecord)."""
-    z0 = recenter_cr_singularity(mat, x, config)
+    z0 = recenter_cr_singularity(mat, x)
     t = translate_matrix(mat, z0)
     const_shift = t[0, 0]
     c10 = t[1, 0]
@@ -398,16 +401,15 @@ def _normalize_slice(mat, x, config):
     lam_val = t[0, 2].real
     if abs(t[0, 2].imag) > 1e-10:
         raise NoConvergence(f"rotation left a complex quadratic coefficient at X={x}")
-    if not (0.0 <= lam_val <= 0.5 - config.ellipticity_margin):
+    if not (0.0 <= lam_val <= 0.5 - ELLIPTICITY_MARGIN):
         raise EllipticityViolation(
-            f"lambda({x}) = {lam_val:.6f} outside [0, 1/2 - {config.ellipticity_margin}]")
+            f"lambda({x}) = {lam_val:.6f} outside [0, 1/2 - {ELLIPTICITY_MARGIN}]")
     rec = StageRecord(z0=z0, const_shift=const_shift, c10=c10, gamma=gamma,
                       theta=theta, quad_absorb=quad_absorb, lam=lam_val)
     return t, rec
 
 
-def _assemble_spec(n, l, nvars, points, lams, mats, max_degree, validity_radius,
-                   fit_degree):
+def _assemble_spec(n, l, nvars, points, lams, mats, max_degree, validity_radius):
     """ManifoldSpec of per-sample normalized matrices: lam, P and K fitted
     over the points, the exact matrices kept as the sample table."""
     size = max_degree + 1
@@ -415,17 +417,16 @@ def _assemble_spec(n, l, nvars, points, lams, mats, max_degree, validity_radius,
               for m, lam in zip(mats, lams)]
     k_mats = [imag_part_matrix(m) for m in mats]
     spec = ManifoldSpec(
-        n=n, l=l, lam=fit_parampoly(points, lams, nvars, fit_degree),
-        p=fit_series(points, p_mats, nvars, max_degree, fit_degree),
-        k=fit_series(points, k_mats, nvars, max_degree, fit_degree),
+        n=n, l=l, lam=fit_parampoly(points, lams, nvars),
+        p=fit_series(points, p_mats, nvars, max_degree),
+        k=fit_series(points, k_mats, nvars, max_degree),
         validity_radius=validity_radius)
     for x, lam, pm, km in zip(points, lams, p_mats, k_mats):
         spec.store_sample(x, lam, quadric_matrix(lam, size) + pm, km)
     return spec
 
 
-def normalize_quadric(raw, sample_points=None, config=DEFAULT_CONFIG,
-                      fit_degree=2):
+def normalize_quadric(raw, sample_points=None):
     """Reduce a raw defining series to quadric normal form on a sample grid.
 
     Returns a ManifoldSpec whose K part is not yet normalized (feed it to
@@ -436,13 +437,13 @@ def normalize_quadric(raw, sample_points=None, config=DEFAULT_CONFIG,
     change = CoordinateChange()
     mats = []
     for x in points:
-        mat, change.records[x] = _normalize_slice(raw.slice_matrix(x), x, config)
+        mat, change.records[x] = _normalize_slice(raw.slice_matrix(x), x)
         mats.append(mat)
-    change.fit_over(points, raw.nvars, fit_degree)
+    change.fit_over(points, raw.nvars)
     # l is a placeholder until kill_imaginary_part assigns the real order
     spec = _assemble_spec(raw.n, 7, raw.nvars, points,
                           [change.records[x].lam for x in points], mats,
-                          raw.series.max_degree, raw.validity_radius, fit_degree)
+                          raw.series.max_degree, raw.validity_radius)
     return spec, change
 
 
@@ -501,8 +502,7 @@ def solve_normalization_stage(lam_val, defect, m, size):
     return out, cond
 
 
-def kill_imaginary_part(spec, l, change=None, config=DEFAULT_CONFIG,
-                        fit_degree=2):
+def kill_imaginary_part(spec, l, change=None):
     """Remove the imaginary tail through weight l by holomorphic w-shifts.
 
     spec must be in quadric normal form with a populated sample table.
@@ -540,19 +540,18 @@ def kill_imaginary_part(spec, l, change=None, config=DEFAULT_CONFIG,
 
     nvars = spec.nvars
     out = _assemble_spec(spec.n, l, nvars, points, [spec.samples[x][0] for x in points],
-                         new_mats, spec.max_degree, spec.validity_radius, fit_degree)
+                         new_mats, spec.max_degree, spec.validity_radius)
     stages = sorted({m for x in points for m in change.records[x].bm})
     for m in stages:
         keys = sorted({jk for x in points for jk in change.records[x].bm.get(m, {})})
         change.bm_fits[m] = {
-            jk: fit_complex(points,
-                            [change.records[x].bm.get(m, {}).get(jk, 0.0)
-                             for x in points], nvars, fit_degree)
+            jk: fit_complex(points, [change.records[x].bm.get(m, {}).get(jk, 0.0)
+                                     for x in points], nvars)
             for jk in keys}
     return out, change
 
 
-def normalize_full(raw, l, sample_points=None, config=DEFAULT_CONFIG):
+def normalize_full(raw, l, sample_points=None):
     """Quadric normalization followed by the imaginary-tail elimination."""
-    pre, change = normalize_quadric(raw, sample_points, config)
-    return kill_imaginary_part(pre, l, change, config)
+    pre, change = normalize_quadric(raw, sample_points)
+    return kill_imaginary_part(pre, l, change)

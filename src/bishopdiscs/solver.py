@@ -30,6 +30,10 @@ from .curve import trace_level_curve
 from .errors import NoConvergence, NonzeroWinding, ValidityEscape, ZeroOnCurve
 from .series import eval_matrix
 
+SOLVE_MAX_ITER = 100
+F_CAP = 0.5            # admissible sup |F| along the boundary
+Z_ESCAPE = 0.5         # admissible |z| for series evaluation
+
 
 @dataclass(frozen=True)
 class SliceOperators:
@@ -53,7 +57,7 @@ def linearized_level(ops, f):
     return np.real(ops.c_complex * np.asarray(f, dtype=complex))
 
 
-def build_slice_operators(curve, cmap, config=DEFAULT_CONFIG):
+def build_slice_operators(curve, cmap):
     """Assemble C, |C|, arg C, C* and D on the conformal boundary grid."""
     data = curve.data
     r = curve.r
@@ -76,27 +80,27 @@ def build_slice_operators(curve, cmap, config=DEFAULT_CONFIG):
     return SliceOperators(c, a, arg_c, c_star, d, d_energy, c_complex)
 
 
-def omega(f, curve, boundary_z=None, config=DEFAULT_CONFIG):
+def omega(f, curve, boundary_z=None):
     """Level functional (q + P)(z (1 + F)) / r^2 along the boundary."""
     f = np.asarray(f, dtype=complex)
-    if np.max(np.abs(f)) >= config.f_cap:
-        raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {config.f_cap}")
+    if np.max(np.abs(f)) >= F_CAP:
+        raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {F_CAP}")
     z = curve.points if boundary_z is None else boundary_z
     pts = z * (1.0 + f)
-    if np.max(np.abs(pts)) > config.z_escape:
+    if np.max(np.abs(pts)) > Z_ESCAPE:
         raise ValidityEscape("evaluation point left the series validity region")
     vals = curve.data.eval_qp(pts)
     return vals.real / curve.r ** 2
 
 
-def omega_deviation(f, curve, boundary_z, config=DEFAULT_CONFIG):
+def omega_deviation(f, curve, boundary_z):
     """Cancellation-free Omega(F) - 1, treating the samples as exactly on
     the curve: sum of c[j,k] z^j zbar^k ((1+F)^j (1+conj F)^k - 1) / r^2."""
     f = np.asarray(f, dtype=complex)
-    if np.max(np.abs(f)) >= config.f_cap:
-        raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {config.f_cap}")
+    if np.max(np.abs(f)) >= F_CAP:
+        raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {F_CAP}")
     z = boundary_z
-    if np.max(np.abs(z * (1.0 + np.abs(f)))) > config.z_escape:
+    if np.max(np.abs(z * (1.0 + np.abs(f)))) > Z_ESCAPE:
         raise ValidityEscape("evaluation point left the series validity region")
     mat = curve.data.qp
     d = mat.shape[0]
@@ -142,10 +146,15 @@ class DiscSolution:
 
 def solve_slice(spec, slice_params, config=DEFAULT_CONFIG):
     """Trace, map and solve one slice end to end."""
-    curve = trace_level_curve(spec, slice_params, config.ntheta, config)
-    cmap = riemann_map(curve, config)
-    ops = build_slice_operators(curve, cmap, config)
+    curve = trace_level_curve(spec, slice_params, config)
+    cmap = riemann_map(curve)
+    ops = build_slice_operators(curve, cmap)
     return solve_u(curve, cmap, ops, config)
+
+
+def step_tolerance(r, config):
+    """Picard step at which a slice of radius r counts as solved (noise-floored)."""
+    return max(config.solve_tol * r ** 2, 4e-16)
 
 
 def solve_u(curve, cmap, ops, config=DEFAULT_CONFIG):
@@ -154,11 +163,11 @@ def solve_u(curve, cmap, ops, config=DEFAULT_CONFIG):
     n = cmap.n
     zb = cmap.boundary_z
     kmat = curve.data.k
-    tol_eff = max(config.solve_tol * r ** 2, 4e-16)
+    tol_eff = step_tolerance(r, config)
 
     def rhs(u):
         f = (u + 1j * fourier.conjugate_samples(u)) / ops.d_samples
-        omdev = omega_deviation(f, curve, zb, config)
+        omdev = omega_deviation(f, curve, zb)
         kvals = eval_matrix(kmat, zb * (1.0 + f)).real
         omega1 = omdev - np.real(ops.c_samples * f)
         return -ops.c_star * (omega1 + fourier.conjugate_samples(kvals) / r ** 2), f, omdev, kvals
@@ -172,7 +181,7 @@ def solve_u(curve, cmap, ops, config=DEFAULT_CONFIG):
     stall = 0
     converged = False
     iterations = 0
-    for iterations in range(1, config.solve_max_iter + 1):
+    for iterations in range(1, SOLVE_MAX_ITER + 1):
         target, f, omdev, kvals = rhs(u)
         step = target - u
         step_norm = float(np.max(np.abs(step)))
@@ -213,7 +222,7 @@ def solve_u(curve, cmap, ops, config=DEFAULT_CONFIG):
         b_samples=b,
         iterations=iterations,
         residual=residual,
-        norm_u=fourier.sup_norm(u, config.upsample),
+        norm_u=fourier.sup_norm(u),
         curve=curve,
         cmap=cmap,
         ops=ops,

@@ -50,6 +50,16 @@ def test_sweep_honours_tolerance(tmp_path):
                                                      iterations["1e-12"]))
 
 
+def test_verify_accepts_tolerance_below_noise_floor(tmp_path):
+    # at --tol 1e-22 both slices stop at the solver's 4e-16 floor; the
+    # fixed-point check must compare against that floor, not solve_tol * r^2
+    out = tmp_path / "v"
+    code = main(["verify", "--spec", "builtin:perturbed", "--r-list", "0.05,0.1",
+                 "--tol", "1e-22", "--out", str(out)])
+    assert code == 0
+    assert json.loads((out / "verify_report.json").read_text())["allPassed"]
+
+
 def test_reports_are_byte_identical(tmp_path):
     args = ["disc", "--spec", "builtin:order7", "--r-list", "0.05,0.1",
             "--seed", "3"]

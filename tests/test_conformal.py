@@ -179,6 +179,13 @@ def test_under_resolved_map_names_the_grid_fix():
     spec = make_spec(lam=0.35, cubic=0.1, k7=0.05)
     coarse, fine = PipelineConfig(ntheta=256), PipelineConfig(ntheta=512)
     with pytest.raises(NoConvergence, match="under-resolves.*ntheta = 512"):
-        riemann_map(trace_level_curve(spec, SliceParams(X0, 0.1), config=coarse), coarse)
-    cmap = riemann_map(trace_level_curve(spec, SliceParams(X0, 0.1), config=fine), fine)
+        riemann_map(trace_level_curve(spec, SliceParams(X0, 0.1), config=coarse))
+    cmap = riemann_map(trace_level_curve(spec, SliceParams(X0, 0.1), config=fine))
     assert cmap.deriv_at_zero > 0
+
+
+def test_map_taylor_length_follows_the_curve_grid():
+    # the map reads its grid from the curve, not from a default config
+    curve = trace_level_curve(quadric_slice(0.25), SliceParams(X0, 0.1),
+                              config=PipelineConfig(ntheta=512))
+    assert len(riemann_map(curve).coeffs) == 128

@@ -25,7 +25,7 @@ def test_ellipse_semi_axes():
     # (1+2 lam) x^2 + (1-2 lam) y^2 = r^2 with lam = 0.25:
     # semi-axis along x is r/sqrt(1.5), along y is r/sqrt(0.5)
     r = 0.08
-    curve = trace_level_curve(quadric_slice(0.25), SliceParams(X0, r), n_theta=256)
+    curve = trace_level_curve(quadric_slice(0.25), SliceParams(X0, r))
     assert curve.rho[0] == pytest.approx(r / np.sqrt(1.5), abs=1e-12)
     assert curve.rho[64] == pytest.approx(r / np.sqrt(0.5), abs=1e-12)
     assert curve.rho[128] == pytest.approx(r / np.sqrt(1.5), abs=1e-12)

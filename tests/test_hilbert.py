@@ -85,7 +85,7 @@ def test_aliasing_guard(ellipse_map):
 
 
 def test_probe_vanishes_without_perturbation(ellipse_map):
-    assert norm_probe(ellipse_map, j=0, trials=10) < 1e-10
+    assert norm_probe(ellipse_map, j=0) < 1e-10
 
 
 def test_probe_scales_linearly_in_r():
@@ -93,7 +93,7 @@ def test_probe_scales_linearly_in_r():
     r_list = [0.02, 0.04, 0.08]
     for r in r_list:
         curve = trace_level_curve(perturbed_slice(0.25, cubic=0.1), SliceParams(X0, r))
-        gaps.append(norm_probe(riemann_map(curve), j=0, trials=10))
+        gaps.append(norm_probe(riemann_map(curve), j=0))
     slope = np.polyfit(np.log(r_list), np.log(gaps), 1)[0]
     assert 0.7 <= slope <= 1.3
 
@@ -101,8 +101,8 @@ def test_probe_scales_linearly_in_r():
 def test_probe_finite_in_higher_norms():
     curve = trace_level_curve(perturbed_slice(0.25, cubic=0.1), SliceParams(X0, 0.05))
     cmap = riemann_map(curve)
-    p0 = norm_probe(cmap, j=0, trials=10)
-    p2 = norm_probe(cmap, j=2, trials=10)
+    p0 = norm_probe(cmap, j=0)
+    p2 = norm_probe(cmap, j=2)
     assert np.isfinite(p0) and np.isfinite(p2)
     assert p2 >= 0.0
 
