@@ -1,12 +1,13 @@
 """Numerical construction of analytic discs attached to a codimension-two
 real submanifold near an elliptic complex-tangency point.
 
-Pipeline: exact truncated-series arithmetic with polynomial parameter
-dependence (series), per-slice normal form reduction (normal_form), level
-curve tracing and normalized conformal maps (curve, conformal), boundary
-Hilbert transforms (hilbert), the fixed-point slice solver (solver), and
-disc assembly plus family verification sweeps (discs). The cli module
-exposes batch commands over a declarative manifold file format (specio).
+Pipeline: bidegree coefficient series with polynomial parameter dependence
+and the dense slice-matrix algebra (series), per-slice normal form
+reduction (normal_form), level curve tracing and normalized conformal maps
+(curve, conformal), boundary Hilbert transforms (hilbert), the fixed-point
+slice solver (solver), and disc assembly plus family verification sweeps
+(discs). The cli module exposes batch commands over a declarative manifold
+file format (specio).
 """
 
 __version__ = "0.1.0"
@@ -20,5 +21,5 @@ from .normal_form import (
     CoordinateChange, ManifoldSpec, RawDefiningSeries, detect_cr_singularity,
     kill_imaginary_part, normalize_full, normalize_quadric, recenter_cr_singularity,
 )
-from .series import BidegreeSeries, ComplexParam, ParamPoly, quadric_series
+from .series import BidegreeSeries, ComplexParam, ParamPoly
 from .solver import DiscSolution, SliceOperators, build_slice_operators, omega, solve_slice, solve_u

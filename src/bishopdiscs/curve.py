@@ -14,10 +14,12 @@ import numpy as np
 from . import fourier
 from .config import DEFAULT_CONFIG
 from .errors import NoRoot, NotStarShaped, ValidityEscape
-from .series import eval_matrix, matrix_derivative_z, quadric_series
+from .series import eval_matrix, matrix_derivative_z, quadric_matrix
 
 TRACE_TOL = 1e-13      # level-equation defect, relative to r**2
 R_MAX = 0.2            # largest slice radius the series is trusted at
+MONOTONE_THETA = 64    # rays of the radial monotonicity check
+MONOTONE_RHO = 24      # radii per ray of the radial monotonicity check
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class SliceData:
 
 def quadric_slice(lam, max_degree=10):
     """Slice data of the unperturbed model z zbar + lam (z^2 + zbar^2)."""
-    qp = quadric_series(float(lam), nvars=0, max_degree=max_degree).to_matrix()
+    qp = quadric_matrix(float(lam), max_degree + 1)
     k = np.zeros_like(qp)
     return SliceData.from_matrices(lam, qp, k)
 
@@ -106,12 +108,11 @@ def _ray_reach(lam):
     return max(3.0, 1.25 / np.sqrt(max(1.0 - 2.0 * lam, 1e-6)))
 
 
-def check_radial_monotonicity(data, r, n_theta=64, n_rho=24, reach=None):
-    """Verify the level function increases along rays out to |z| = reach*r."""
-    if reach is None:
-        reach = _ray_reach(data.lam)
-    theta = fourier.grid(n_theta)
-    for s in np.linspace(reach / n_rho, reach, n_rho):
+def check_radial_monotonicity(data, r):
+    """Verify the level function increases along rays out to the ray reach."""
+    reach = _ray_reach(data.lam)
+    theta = fourier.grid(MONOTONE_THETA)
+    for s in np.linspace(reach / MONOTONE_RHO, reach, MONOTONE_RHO):
         slope = _radial_slope(data, s * r, theta)
         if np.any(slope <= 0.0):
             bad = theta[np.argmin(slope)]

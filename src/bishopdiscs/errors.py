@@ -6,7 +6,7 @@ class PipelineError(Exception):
 
 
 class ParameterDimensionMismatch(PipelineError):
-    """Two series/polynomials over different parameter spaces were combined."""
+    """A parameter vector or exponent does not match the parameter count."""
 
 
 class NoConvergence(PipelineError):

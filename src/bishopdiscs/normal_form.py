@@ -30,106 +30,16 @@ from .errors import (
     SingularNormalizationMatrix,
 )
 from .series import (
-    BidegreeSeries, ComplexParam, ParamPoly, eval_matrix,
-    matrix_derivative_z, matrix_derivative_zbar, monomials_upto,
+    BidegreeSeries, ComplexParam, ParamPoly, compose_w, eval_matrix,
+    imag_part_matrix, matrix_derivative_z, matrix_derivative_zbar,
+    monomials_upto, quadric_matrix, real_part_matrix, rotate_matrix,
+    translate_matrix,
 )
 
 NEWTON_MAX_ITER = 50   # recentering Newton steps
 NEWTON_TOL = 1e-12     # |dF/dzbar| accepted after the Newton budget
 ELLIPTICITY_MARGIN = 1e-3  # lambda must stay in [0, 1/2 - ELLIPTICITY_MARGIN]
 FIT_DEGREE = 2         # degree of the least-squares parameter fits
-
-
-# --------------------------------------------------------------------------
-# dense-matrix series helpers (parameter-free slices)
-# --------------------------------------------------------------------------
-
-def _conv_trunc(a, b):
-    d = a.shape[0]
-    out = np.zeros_like(a)
-    ja, ka = np.nonzero(a)
-    for j1, k1 in zip(ja, ka):
-        c = a[j1, k1]
-        jmax = d - j1
-        kmax = d - k1
-        out[j1:, k1:] += c * b[:jmax, :kmax]
-    # enforce the total-degree truncation
-    d_idx = np.add.outer(np.arange(d), np.arange(d))
-    out[d_idx > d - 1] = 0.0
-    return out
-
-
-def _mat_power(a, n):
-    d = a.shape[0]
-    out = np.zeros_like(a)
-    out[0, 0] = 1.0
-    for _ in range(n):
-        out = _conv_trunc(out, a)
-    return out
-
-
-def translate_matrix(mat, shift):
-    """Coefficients of S(z + shift, zbar + conj(shift))."""
-    from math import comb
-    d = mat.shape[0]
-    out = np.zeros_like(mat)
-    sb = np.conj(shift)
-    for j in range(d):
-        for k in range(d):
-            c = mat[j, k]
-            if c == 0.0:
-                continue
-            for p in range(j + 1):
-                cp = comb(j, p) * shift ** (j - p)
-                for q in range(k + 1):
-                    out[p, q] += c * cp * comb(k, q) * sb ** (k - q)
-    return out
-
-
-def rotate_matrix(mat, angle):
-    """Coefficients in the frame z' = z e^{-i angle}: c[j,k] *= e^{i(j-k) angle}."""
-    d = mat.shape[0]
-    j = np.arange(d)
-    phase = np.exp(1j * np.subtract.outer(j, j) * angle)
-    return mat * phase
-
-
-def conj_mirror(mat):
-    return np.conj(mat).T
-
-
-def real_part_matrix(mat):
-    return 0.5 * (mat + conj_mirror(mat))
-
-
-def imag_part_matrix(mat):
-    return (mat - conj_mirror(mat)) / 2j
-
-
-def compose_w(poly, s_mat):
-    """Sum over poly entries b[(j1, j2)] z^{j1} S(z, zbar)^{j2}."""
-    d = s_mat.shape[0]
-    out = np.zeros_like(s_mat)
-    powers = {}
-    for (j1, j2), b in sorted(poly.items()):
-        if j2 not in powers:
-            powers[j2] = _mat_power(s_mat, j2)
-        term = np.zeros_like(s_mat)
-        base = powers[j2]
-        if j1 < d:
-            term[j1:, :] = base[: d - j1, :]
-        d_idx = np.add.outer(np.arange(d), np.arange(d))
-        term[d_idx > d - 1] = 0.0
-        out += b * term
-    return out
-
-
-def quadric_matrix(lam, size):
-    mat = np.zeros((size, size), dtype=complex)
-    mat[1, 1] = 1.0
-    mat[2, 0] = lam
-    mat[0, 2] = lam
-    return mat
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +119,7 @@ class RawDefiningSeries:
         return self.series.nvars
 
     def slice_matrix(self, x):
-        return self.series.fix_parameters(np.asarray(x, dtype=float)).to_matrix()
+        return self.series.fix_parameters(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -242,8 +152,8 @@ class ManifoldSpec:
         lam_val = float(self.lam.evaluate(xa))
         size = self.max_degree + 1
         qp = quadric_matrix(lam_val, size)
-        qp += self.p.fix_parameters(xa).to_matrix()
-        kmat = self.k.fix_parameters(xa).to_matrix()
+        qp += self.p.fix_parameters(xa)
+        kmat = self.k.fix_parameters(xa)
         return SliceData.from_matrices(lam_val, qp, kmat)
 
     def store_sample(self, x, lam_val, qp, kmat):

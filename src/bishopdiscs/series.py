@@ -1,18 +1,21 @@
-"""Truncated bidegree series in (z, zbar) with polynomial parameter dependence.
+"""Bidegree series in (z, zbar): the parametric coefficient store and the
+dense slice-matrix algebra.
 
 A ParamPoly is a real polynomial in the real parameters (x2, y2, ..., xN, yN)
 with a hard degree bound. A BidegreeSeries maps bidegrees (j, k) to complex
 coefficients stored as (real, imaginary) ParamPoly pairs, so the reality
 predicate c[j,k] == conj(c[k,j]) is an exact structural check rather than a
-numerical one.
+numerical one. The store is validated, serialized, and frozen at a parameter
+point X into a slice matrix.
 
-Products accumulate contributions in a mirror-symmetric order so that the
-product of two exactly-real series is again exactly real (IEEE addition is
-commutative and sign-symmetric; only the grouping has to be arranged).
+The numeric pipeline works on slice matrices: mat[j, k] is the complex
+coefficient of z^j zbar^k, and a matrix of size d keeps the total degrees
+j + k <= d - 1.
 """
 
 from dataclasses import dataclass, field
 from itertools import product as iter_product
+from math import comb
 
 import numpy as np
 
@@ -36,7 +39,7 @@ class ParamPoly:
     """Real polynomial in the slice parameters, degree-bounded.
 
     terms maps exponent tuples to float coefficients; exact zeros are never
-    stored. Instances are immutable; all operations return new objects.
+    stored. Instances are immutable.
     """
 
     nvars: int
@@ -57,7 +60,6 @@ class ParamPoly:
                 cleaned[exp] = c
         object.__setattr__(self, "terms", cleaned)
 
-    # -- constructors ------------------------------------------------------
     @staticmethod
     def zero(nvars, degree=2):
         return ParamPoly(nvars, degree, {})
@@ -66,53 +68,12 @@ class ParamPoly:
     def const(value, nvars, degree=2):
         return ParamPoly(nvars, degree, {(0,) * nvars: value})
 
-    # -- helpers -----------------------------------------------------------
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise ParameterDimensionMismatch(
-                f"parameter dimensions differ: {self.nvars} vs {other.nvars}")
-
     def is_zero(self):
         return not self.terms
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, 0.0)
-
-    # -- arithmetic --------------------------------------------------------
-    def __add__(self, other):
-        self._check(other)
-        deg = min(self.degree, other.degree)
-        out = {}
-        for exp in sorted(set(self.terms) | set(other.terms)):
-            if sum(exp) > deg:
-                continue
-            out[exp] = self.terms.get(exp, 0.0) + other.terms.get(exp, 0.0)
-        return ParamPoly(self.nvars, deg, out)
 
     def __neg__(self):
         return ParamPoly(self.nvars, self.degree,
                          {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        deg = min(self.degree, other.degree)
-        out = {}
-        for e1 in sorted(self.terms):
-            c1 = self.terms[e1]
-            for e2 in sorted(other.terms):
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if sum(exp) > deg:
-                    continue
-                out[exp] = out.get(exp, 0.0) + c1 * other.terms[e2]
-        return ParamPoly(self.nvars, deg, out)
-
-    def scale(self, factor):
-        factor = float(factor)
-        return ParamPoly(self.nvars, self.degree,
-                         {e: factor * c for e, c in self.terms.items()})
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
@@ -132,10 +93,6 @@ class ParamPoly:
         return (isinstance(other, ParamPoly) and self.nvars == other.nvars
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
-    # -- serialization -----------------------------------------------------
     def to_list(self):
         return [[list(e), c] for e, c in sorted(self.terms.items())]
 
@@ -165,33 +122,8 @@ class ComplexParam:
     def is_zero(self):
         return self.re.is_zero() and self.im.is_zero()
 
-    def conj(self):
-        return ComplexParam(self.re, -self.im)
-
-    def __add__(self, other):
-        return ComplexParam(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return ComplexParam(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return ComplexParam(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
-
-    def scale(self, factor):
-        """Multiply by a complex scalar."""
-        factor = complex(factor)
-        re = self.re.scale(factor.real) - self.im.scale(factor.imag)
-        im = self.re.scale(factor.imag) + self.im.scale(factor.real)
-        return ComplexParam(re, im)
-
     def evaluate(self, x):
         return complex(self.re.evaluate(x), self.im.evaluate(x))
-
-
-def _mirror(entry):
-    (j1, k1), (j2, k2) = entry
-    return ((k1, j1), (k2, j2))
 
 
 @dataclass(frozen=True)
@@ -206,16 +138,12 @@ class BidegreeSeries:
     def __post_init__(self):
         cleaned = {}
         for (j, k), c in self.coeffs.items():
-            if j + k > self.max_degree:
-                continue
+            if min(j, k) < 0 or j + k > self.max_degree:
+                raise ValueError(
+                    f"bidegree ({j},{k}) is out of range for max_degree {self.max_degree}")
             if not c.is_zero():
                 cleaned[(int(j), int(k))] = c
         object.__setattr__(self, "coeffs", cleaned)
-
-    # -- constructors ------------------------------------------------------
-    @staticmethod
-    def zero(nvars, max_degree, param_degree=2):
-        return BidegreeSeries(nvars, max_degree, param_degree, {})
 
     @staticmethod
     def from_complex_dict(values, nvars, max_degree, param_degree=2):
@@ -224,95 +152,9 @@ class BidegreeSeries:
                   for jk, v in values.items()}
         return BidegreeSeries(nvars, max_degree, param_degree, coeffs)
 
-    # -- basic access ------------------------------------------------------
     def coeff(self, j, k):
         return self.coeffs.get((j, k),
                                ComplexParam.zero(self.nvars, self.param_degree))
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise ParameterDimensionMismatch(
-                f"parameter dimensions differ: {self.nvars} vs {other.nvars}")
-
-    # -- ring operations ---------------------------------------------------
-    def __add__(self, other):
-        self._check(other)
-        deg = min(self.max_degree, other.max_degree)
-        out = {}
-        for jk in sorted(set(self.coeffs) | set(other.coeffs)):
-            za = self.coeffs.get(jk)
-            zb = other.coeffs.get(jk)
-            if za is None:
-                out[jk] = zb
-            elif zb is None:
-                out[jk] = za
-            else:
-                out[jk] = za + zb
-        return BidegreeSeries(self.nvars, deg,
-                              min(self.param_degree, other.param_degree), out)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        return BidegreeSeries(self.nvars, self.max_degree, self.param_degree,
-                              {jk: c.scale(factor) for jk, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        self._check(other)
-        deg = min(self.max_degree, other.max_degree)
-        pdeg = min(self.param_degree, other.param_degree)
-        # Collect contributions per target bidegree, then accumulate in a
-        # mirror-symmetric order: entries are grouped by the lexicographic min
-        # of (pair, mirrored pair) so that conjugate-partner sums in c[j,k]
-        # and c[k,j] run through identical float sequences. This keeps real
-        # series exactly real under multiplication.
-        buckets = {}
-        for k1 in self.coeffs:
-            for k2 in other.coeffs:
-                j, k = k1[0] + k2[0], k1[1] + k2[1]
-                if j + k > deg:
-                    continue
-                buckets.setdefault((j, k), []).append((k1, k2))
-        out = {}
-        for target, entries in buckets.items():
-            groups = {}
-            for entry in entries:
-                canon = min(entry, _mirror(entry))
-                groups.setdefault(canon, []).append(entry)
-            acc = None
-            for canon in sorted(groups):
-                members = sorted(groups[canon])
-                val = self.coeffs[members[0][0]] * other.coeffs[members[0][1]]
-                for extra in members[1:]:
-                    val = val + self.coeffs[extra[0]] * other.coeffs[extra[1]]
-                acc = val if acc is None else acc + val
-            out[target] = acc
-        return BidegreeSeries(self.nvars, deg, pdeg, out)
-
-    def power(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined for series")
-        result = BidegreeSeries.from_complex_dict(
-            {(0, 0): 1.0}, self.nvars, self.max_degree, self.param_degree)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    # -- conjugation and reality -------------------------------------------
-    def conjugate_series(self):
-        """Series of conj(f), i.e. c'[j,k] = conj(c[k,j])."""
-        return BidegreeSeries(self.nvars, self.max_degree, self.param_degree,
-                              {(k, j): c.conj() for (j, k), c in self.coeffs.items()})
-
-    def real_part(self):
-        return (self + self.conjugate_series()).scale(0.5)
-
-    def imag_part(self):
-        return (self - self.conjugate_series()).scale(-0.5j)
 
     def is_real(self):
         """Exact reality predicate: c[j,k] == conj(c[k,j]) coefficient-wise."""
@@ -324,65 +166,13 @@ class BidegreeSeries:
                 return False
         return True
 
-    # -- calculus ----------------------------------------------------------
-    def derivative_z(self):
-        out = {}
-        for (j, k), c in self.coeffs.items():
-            if j >= 1:
-                out[(j - 1, k)] = c.scale(float(j))
-        return BidegreeSeries(self.nvars, max(self.max_degree - 1, 0),
-                              self.param_degree, out)
-
-    def derivative_zbar(self):
-        out = {}
-        for (j, k), c in self.coeffs.items():
-            if k >= 1:
-                out[(j, k - 1)] = c.scale(float(k))
-        return BidegreeSeries(self.nvars, max(self.max_degree - 1, 0),
-                              self.param_degree, out)
-
-    # -- evaluation --------------------------------------------------------
-    def evaluate(self, x, z):
-        """Value sum c[j,k](X) z^j zbar^k at a parameter point and z array."""
-        z = np.asarray(z, dtype=complex)
-        zb = np.conj(z)
-        total = np.zeros_like(z)
-        for jk in sorted(self.coeffs):
-            j, k = jk
-            c = self.coeffs[jk].evaluate(x)
-            total = total + c * z ** j * zb ** k
-        return total
-
     def fix_parameters(self, x):
-        """Freeze X: returns a series over zero parameters."""
-        out = {}
-        for jk, c in self.coeffs.items():
-            out[jk] = ComplexParam.const(c.evaluate(x), 0, self.param_degree)
-        return BidegreeSeries(0, self.max_degree, self.param_degree, out)
-
-    def to_matrix(self):
-        """Dense complex coefficient matrix mat[j, k]; requires nvars == 0."""
-        if self.nvars != 0:
-            raise ParameterDimensionMismatch(
-                "to_matrix needs a parameter-free series; call fix_parameters first")
+        """Slice matrix at X: mat[j, k] = c[j,k](X), of size max_degree + 1."""
         mat = np.zeros((self.max_degree + 1, self.max_degree + 1), dtype=complex)
-        empty = np.zeros(0)
         for (j, k), c in self.coeffs.items():
-            mat[j, k] = c.evaluate(empty)
+            mat[j, k] = c.evaluate(x)
         return mat
 
-    @staticmethod
-    def from_matrix(mat, max_degree=None, param_degree=2):
-        mat = np.asarray(mat, dtype=complex)
-        deg = mat.shape[0] - 1 if max_degree is None else max_degree
-        vals = {}
-        for j in range(mat.shape[0]):
-            for k in range(mat.shape[1]):
-                if mat[j, k] != 0.0 and j + k <= deg:
-                    vals[(j, k)] = mat[j, k]
-        return BidegreeSeries.from_complex_dict(vals, 0, deg, param_degree)
-
-    # -- serialization -----------------------------------------------------
     def to_list(self):
         out = []
         for (j, k) in sorted(self.coeffs):
@@ -400,18 +190,7 @@ class BidegreeSeries:
         return BidegreeSeries(nvars, max_degree, param_degree, coeffs)
 
 
-def quadric_series(lam, nvars, max_degree=10, param_degree=2):
-    """The model quadratic part z zbar + lam(X) (z^2 + zbar^2)."""
-    if not isinstance(lam, ParamPoly):
-        lam = ParamPoly.const(float(lam), nvars, param_degree)
-    one = ComplexParam(ParamPoly.const(1.0, nvars, param_degree),
-                       ParamPoly.zero(nvars, param_degree))
-    lam_c = ComplexParam(lam, ParamPoly.zero(nvars, param_degree))
-    return BidegreeSeries(nvars, max_degree, param_degree,
-                          {(1, 1): one, (2, 0): lam_c, (0, 2): lam_c})
-
-
-# -- dense-matrix helpers for parameter-free slices -------------------------
+# -- dense slice-matrix algebra ---------------------------------------------
 
 def eval_matrix(mat, z):
     """Evaluate sum mat[j,k] z^j zbar^k for a dense coefficient matrix."""
@@ -445,3 +224,91 @@ def matrix_derivative_zbar(mat):
     for k in range(1, mat.shape[1]):
         out[:, k - 1] = k * mat[:, k]
     return out
+
+
+def conv_trunc(a, b):
+    """Product of two slice matrices, cut at the total degree of a."""
+    d = a.shape[0]
+    out = np.zeros_like(a)
+    ja, ka = np.nonzero(a)
+    for j1, k1 in zip(ja, ka):
+        c = a[j1, k1]
+        jmax = d - j1
+        kmax = d - k1
+        out[j1:, k1:] += c * b[:jmax, :kmax]
+    # enforce the total-degree truncation
+    d_idx = np.add.outer(np.arange(d), np.arange(d))
+    out[d_idx > d - 1] = 0.0
+    return out
+
+
+def _mat_power(a, n):
+    out = np.zeros_like(a)
+    out[0, 0] = 1.0
+    for _ in range(n):
+        out = conv_trunc(out, a)
+    return out
+
+
+def compose_w(poly, s_mat):
+    """Sum over poly entries b[(j1, j2)] z^{j1} S(z, zbar)^{j2}."""
+    d = s_mat.shape[0]
+    out = np.zeros_like(s_mat)
+    powers = {}
+    for (j1, j2), b in sorted(poly.items()):
+        if j2 not in powers:
+            powers[j2] = _mat_power(s_mat, j2)
+        term = np.zeros_like(s_mat)
+        base = powers[j2]
+        if j1 < d:
+            term[j1:, :] = base[: d - j1, :]
+        d_idx = np.add.outer(np.arange(d), np.arange(d))
+        term[d_idx > d - 1] = 0.0
+        out += b * term
+    return out
+
+
+def translate_matrix(mat, shift):
+    """Coefficients of S(z + shift, zbar + conj(shift))."""
+    d = mat.shape[0]
+    out = np.zeros_like(mat)
+    sb = np.conj(shift)
+    for j in range(d):
+        for k in range(d):
+            c = mat[j, k]
+            if c == 0.0:
+                continue
+            for p in range(j + 1):
+                cp = comb(j, p) * shift ** (j - p)
+                for q in range(k + 1):
+                    out[p, q] += c * cp * comb(k, q) * sb ** (k - q)
+    return out
+
+
+def rotate_matrix(mat, angle):
+    """Coefficients in the frame z' = z e^{-i angle}: c[j,k] *= e^{i(j-k) angle}."""
+    d = mat.shape[0]
+    j = np.arange(d)
+    phase = np.exp(1j * np.subtract.outer(j, j) * angle)
+    return mat * phase
+
+
+def conj_mirror(mat):
+    return np.conj(mat).T
+
+
+def real_part_matrix(mat):
+    return 0.5 * (mat + conj_mirror(mat))
+
+
+def imag_part_matrix(mat):
+    return (mat - conj_mirror(mat)) / 2j
+
+
+def quadric_matrix(lam, size):
+    """The model quadric z zbar + lam (z^2 + zbar^2) as a slice matrix."""
+    mat = np.zeros((size, size), dtype=complex)
+    mat[1, 1] = 1.0
+    mat[2, 0] = lam
+    mat[0, 2] = lam
+    return mat

@@ -29,6 +29,15 @@ def _require(obj, key, types):
     return obj[key]
 
 
+def _degree_field(obj, key, default, minimum):
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecParseError(f"field '{key}' has type {type(value).__name__}")
+    if value < minimum:
+        raise SchemaViolation(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
 def _parse_series(rows, nvars, max_degree, param_degree, label):
     try:
         series = BidegreeSeries.from_list(rows, nvars, max_degree, param_degree)
@@ -53,8 +62,8 @@ def loads(text, source="<string>"):
     if radius <= 0:
         raise SchemaViolation("validityRadius must be positive")
     nvars = 2 * (n - 1)
-    max_degree = int(obj.get("maxDegree", 10))
-    param_degree = int(obj.get("paramDegree", 2))
+    max_degree = _degree_field(obj, "maxDegree", 10, 2)
+    param_degree = _degree_field(obj, "paramDegree", 2, 0)
 
     if "raw" in obj:
         series = _parse_series(obj["raw"], nvars, max_degree, param_degree, "raw")

@@ -5,7 +5,7 @@ from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceData, SliceParams, quadric_slice, trace_level_curve
 from bishopdiscs.normal_form import ManifoldSpec
-from bishopdiscs.series import BidegreeSeries, ParamPoly, quadric_series
+from bishopdiscs.series import BidegreeSeries, ParamPoly, quadric_matrix
 from bishopdiscs.solver import solve_slice
 
 # r sweep used by the decay-rate experiments
@@ -17,7 +17,7 @@ TIGHT_CONFIG = PipelineConfig(solve_tol=1e-22)
 
 def perturbed_slice(lam, cubic=0.1, max_degree=10):
     """Slice data for q + cubic * Re z^3 (parameter-free)."""
-    qp = quadric_series(float(lam), nvars=0, max_degree=max_degree).to_matrix()
+    qp = quadric_matrix(float(lam), max_degree + 1)
     qp[3, 0] += cubic / 2.0
     qp[0, 3] += cubic / 2.0
     k = np.zeros_like(qp)

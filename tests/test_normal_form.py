@@ -6,12 +6,15 @@ import pytest
 
 from bishopdiscs.errors import EllipticityViolation
 from bishopdiscs.normal_form import (
-    RawDefiningSeries, compose_w, detect_cr_singularity,
-    imag_part_matrix, kill_imaginary_part, normalize_full, normalize_quadric,
-    quadric_matrix, real_part_matrix, recenter_cr_singularity, rotate_matrix,
-    sample_grid, solve_normalization_stage, weighted_monomials,
+    RawDefiningSeries, detect_cr_singularity, kill_imaginary_part,
+    normalize_full, normalize_quadric, recenter_cr_singularity, sample_grid,
+    solve_normalization_stage, weighted_monomials,
 )
-from bishopdiscs.series import BidegreeSeries, ComplexParam, ParamPoly, eval_matrix
+from bishopdiscs.series import (
+    BidegreeSeries, ComplexParam, ParamPoly, compose_w, eval_matrix,
+    imag_part_matrix, quadric_matrix, real_part_matrix, rotate_matrix,
+    translate_matrix,
+)
 
 NV, PD, MD = 2, 2, 10
 
@@ -94,7 +97,6 @@ def test_detect_after_recenter():
     raw = offset_raw(lam=0.25)
     x = (0.1, 0.0)
     z0 = recenter_cr_singularity(raw, x)
-    from bishopdiscs.normal_form import translate_matrix
     shifted = translate_matrix(raw.slice_matrix(x), z0)
     assert detect_cr_singularity(shifted, x)
 

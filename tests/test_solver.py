@@ -17,7 +17,7 @@ from conftest import RATE_R_LIST, TIGHT_CONFIG, make_spec, perturbed_slice
 X0 = (0.0, 0.0)
 
 
-def pipeline(data, r, n_theta=256):
+def pipeline(data, r):
     curve = trace_level_curve(data, SliceParams(X0, r))
     cmap = riemann_map(curve)
     ops = build_slice_operators(curve, cmap)

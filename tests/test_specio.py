@@ -93,3 +93,31 @@ def test_raw_spec_loads():
     assert isinstance(spec, RawDefiningSeries)
     assert spec.n == 2
     assert spec.validity_radius == 0.15
+
+
+def test_out_of_range_bidegrees_rejected():
+    # order7 carries K = 0.05 Re z^7; a degree cut of 5 must not drop it
+    with open(specio.resolve_spec_path("builtin:order7"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["maxDegree"] = 5
+    with pytest.raises(SpecParseError, match=r"'K'.*out of range for max_degree 5"):
+        specio.loads(json.dumps(obj))
+    # a negative index would land in the last row of the slice matrix
+    raw = {"N": 2, "l": 7, "validityRadius": 0.2,
+           "raw": [[-1, 3, [[[0, 0], 0.1]], []]]}
+    with pytest.raises(SpecParseError, match=r"\(-1,3\) is out of range"):
+        specio.loads(json.dumps(raw))
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("maxDegree", "x", SpecParseError),
+    ("maxDegree", 2.5, SpecParseError),
+    ("maxDegree", -1, SchemaViolation),
+    ("paramDegree", "x", SpecParseError),
+    ("paramDegree", -1, SchemaViolation),
+])
+def test_degree_fields_are_checked(key, value, error):
+    obj = {"N": 2, "l": 7, "validityRadius": 0.2,
+           "lambda": [[[0, 0], 0.2]], "P": [], "K": [], key: value}
+    with pytest.raises(error, match=key):
+        specio.loads(json.dumps(obj))
