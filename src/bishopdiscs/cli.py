@@ -198,7 +198,7 @@ def cmd_disc(spec, run_config):
             "residual": sol.residual,
             "boundaryResidual": disc.boundary_residual,
             "centerOffset": disc.center_offset,
-            "centerHeightResidual": disc.center_height_residual,
+            "centerHeightResidual": sol.center_height_residual,
         })
     write_report(run_config.out_dir, "disc_report.json", {"slices": rows}, run_config)
     return 0
@@ -233,8 +233,7 @@ def _csv_rows(spec, report):
 def cmd_sweep(spec, run_config):
     cfg = run_config.pipeline_config()
     grid = parse_x_grid(run_config.x_grid, spec.nvars)
-    report = sweep(spec, grid, run_config.r_list, cfg,
-                   with_hilbert_probe=True, seed=run_config.seed)
+    report = sweep(spec, grid, run_config.r_list, cfg, seed=run_config.seed)
     write_report(run_config.out_dir, "sweep_report.json",
                  {"report": report.to_dict(), "seed": run_config.seed}, run_config)
     with open(Path(run_config.out_dir) / "sweep.csv", "w", encoding="utf-8",
@@ -282,7 +281,7 @@ def cmd_verify(spec, run_config):
         check(f"fixed_point[{label}]", sol.residual, 10 * step_tolerance(sp.r, cfg))
         check(f"attachment[{label}]", disc.boundary_residual, 1e-8)
         check(f"center_offset[{label}]", disc.center_offset, 1e-10)
-        check(f"center_height[{label}]", disc.center_height_residual, 1e-8)
+        check(f"center_height[{label}]", sol.center_height_residual, 1e-8)
         check(f"d_holomorphy[{label}]", sol.ops.d_energy, 1e-8)
         fmean = sol.f_samples - np.mean(sol.f_samples)
         check(f"f_holomorphy[{label}]",

@@ -95,25 +95,25 @@ def _newton_stage(g, psi, conj_mat, t, budget):
         return p - conj_mat @ np.real(fourier.eval_interpolant(g, t + p))
 
     res = residual(psi)
+    res_norm = np.max(np.abs(res))
     used = 0
-    while used < budget:
-        res_norm = np.max(np.abs(res))
-        if res_norm < MAP_TOL:
-            return psi, used, res_norm
+    while used < budget and res_norm >= MAP_TOL:
         slope = np.real(fourier.eval_interpolant(dg, t + psi))
         jac = np.eye(len(psi)) - conj_mat * slope[None, :]
         delta = np.linalg.solve(jac, -res)
         alpha = 1.0
-        while alpha > 1.0 / 64.0:
+        while True:
             trial = psi + alpha * delta
-            trial_norm = np.max(np.abs(residual(trial)))
+            trial_res = residual(trial)
+            trial_norm = np.max(np.abs(trial_res))
             if trial_norm < res_norm * (1.0 - 0.25 * alpha) or trial_norm < MAP_TOL:
                 break
+            if alpha <= 1.0 / 64.0:    # the shortest step is taken even if it fails
+                break
             alpha *= 0.5
-        psi = psi + alpha * delta
-        res = residual(psi)
+        psi, res, res_norm = trial, trial_res, trial_norm
         used += 1
-    return psi, used, np.max(np.abs(res))
+    return psi, used, res_norm
 
 
 def riemann_map(curve):

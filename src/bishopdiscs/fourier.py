@@ -94,7 +94,8 @@ def upsample(samples, factor):
 
 
 def sup_norm(samples, factor=8):
-    """Sup norm estimated on an upsampled grid (grid-size independent)."""
+    """Sup norm estimated on an upsampled grid; the estimate still depends
+    on the grid when the maximum falls between nodes."""
     return float(np.max(np.abs(upsample(samples, factor))))
 
 

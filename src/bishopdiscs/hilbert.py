@@ -19,6 +19,7 @@ from .curve import quadric_slice, trace_level_curve
 from .errors import AliasingRisk, GridMismatch
 
 ALIAS_ENERGY_LIMIT = 1e-6
+HOLDER_ALPHA = 0.5     # exponent of the top-order difference quotient
 
 
 def hilbert_on_curve(cmap, phi):
@@ -50,9 +51,9 @@ def origin_imaginary_residual(cmap, phi):
 # discrete Hoelder norms and the model-curve comparison probe
 # --------------------------------------------------------------------------
 
-def discrete_holder_norm(samples, j, alpha=0.5):
+def discrete_holder_norm(samples, j):
     """Sup norms of spectral derivatives up to order j plus the top-order
-    alpha-difference quotient maximized over grid pairs."""
+    HOLDER_ALPHA-difference quotient maximized over grid pairs."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     total = 0.0
@@ -64,7 +65,7 @@ def discrete_holder_norm(samples, j, alpha=0.5):
     dt = np.abs(t[:, None] - t[None, :])
     dist = np.minimum(dt, 2 * np.pi - dt)
     np.fill_diagonal(dist, np.inf)
-    quot = np.abs(top[:, None] - top[None, :]) / dist ** alpha
+    quot = np.abs(top[:, None] - top[None, :]) / dist ** HOLDER_ALPHA
     return total + float(np.max(quot))
 
 
@@ -86,13 +87,12 @@ def eval_trig_poly(coeffs, theta):
     return out
 
 
-def _transform_on_polar_grid(cmap, coeffs):
+def _transform_on_polar_grid(cmap, t_star, coeffs):
     """H[phi] expressed back on the equispaced polar grid, for a trig
-    polynomial phi of the polar angle."""
+    polynomial phi of the polar angle; t_star are the circle angles that
+    cmap's correspondence sends to that grid."""
     phi_t = eval_trig_poly(coeffs, cmap.correspondence)
     h_t = fourier.conjugate_samples(phi_t)
-    theta_grid = fourier.grid(cmap.n)
-    t_star = fourier.invert_correspondence(cmap.correspondence, theta_grid)
     return np.real(fourier.eval_interpolant(h_t, t_star))
 
 
@@ -108,13 +108,15 @@ def norm_probe(cmap, j, seed=0):
     model = quadric_slice(cmap.curve.lam, max_degree=cmap.curve.data.qp.shape[0] - 1)
     model_curve = trace_level_curve(model, cmap.curve.slice, PipelineConfig(ntheta=cmap.n))
     model_map = riemann_map(model_curve)
+    theta_grid = fourier.grid(cmap.n)
+    t_star = fourier.invert_correspondence(cmap.correspondence, theta_grid)
+    t_model = fourier.invert_correspondence(model_map.correspondence, theta_grid)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    theta_grid = fourier.grid(cmap.n)
     for _ in range(10):
         coeffs = random_trig_poly(rng)
-        gap = (_transform_on_polar_grid(cmap, coeffs)
-               - _transform_on_polar_grid(model_map, coeffs))
+        gap = (_transform_on_polar_grid(cmap, t_star, coeffs)
+               - _transform_on_polar_grid(model_map, t_model, coeffs))
         phi_polar = eval_trig_poly(coeffs, theta_grid)
         ratio = discrete_holder_norm(gap, j) / discrete_holder_norm(phi_polar, j)
         worst = max(worst, ratio)

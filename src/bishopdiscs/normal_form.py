@@ -40,6 +40,7 @@ NEWTON_MAX_ITER = 50   # recentering Newton steps
 NEWTON_TOL = 1e-12     # |dF/dzbar| accepted after the Newton budget
 ELLIPTICITY_MARGIN = 1e-3  # lambda must stay in [0, 1/2 - ELLIPTICITY_MARGIN]
 FIT_DEGREE = 2         # degree of the least-squares parameter fits
+FIT_DROP_TOL = 1e-13   # coefficients below this on every sample are not fitted
 
 
 # --------------------------------------------------------------------------
@@ -78,7 +79,7 @@ def fit_complex(points, values, nvars):
                         fit_parampoly(points, values.imag, nvars))
 
 
-def fit_series(points, matrices, nvars, max_degree, drop_tol=1e-13):
+def fit_series(points, matrices, nvars, max_degree):
     """Coefficient-wise parameter fit of a family of slice matrices."""
     coeffs = {}
     size = matrices[0].shape[0]
@@ -87,7 +88,7 @@ def fit_series(points, matrices, nvars, max_degree, drop_tol=1e-13):
             if j + k > max_degree:
                 continue
             vals = np.array([m[j, k] for m in matrices])
-            if np.max(np.abs(vals)) <= drop_tol:
+            if np.max(np.abs(vals)) <= FIT_DROP_TOL:
                 continue
             coeffs[(j, k)] = fit_complex(points, vals, nvars)
     return BidegreeSeries(nvars, max_degree, FIT_DEGREE, coeffs)

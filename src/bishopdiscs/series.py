@@ -53,8 +53,9 @@ class ParamPoly:
             if len(exp) != self.nvars:
                 raise ParameterDimensionMismatch(
                     f"exponent {exp} has {len(exp)} entries, expected {self.nvars}")
-            if sum(exp) > self.degree:
-                raise ValueError(f"monomial {exp} exceeds degree bound {self.degree}")
+            if min(exp, default=0) < 0 or sum(exp) > self.degree:
+                raise ValueError(
+                    f"monomial {exp} is out of range for degree bound {self.degree}")
             c = float(coeff)
             if c != 0.0:
                 cleaned[exp] = c
@@ -242,22 +243,15 @@ def conv_trunc(a, b):
     return out
 
 
-def _mat_power(a, n):
-    out = np.zeros_like(a)
-    out[0, 0] = 1.0
-    for _ in range(n):
-        out = conv_trunc(out, a)
-    return out
-
-
 def compose_w(poly, s_mat):
     """Sum over poly entries b[(j1, j2)] z^{j1} S(z, zbar)^{j2}."""
     d = s_mat.shape[0]
     out = np.zeros_like(s_mat)
-    powers = {}
+    powers = [np.zeros_like(s_mat)]
+    powers[0][0, 0] = 1.0
     for (j1, j2), b in sorted(poly.items()):
-        if j2 not in powers:
-            powers[j2] = _mat_power(s_mat, j2)
+        while len(powers) <= j2:
+            powers.append(conv_trunc(powers[-1], s_mat))
         term = np.zeros_like(s_mat)
         base = powers[j2]
         if j1 < d:

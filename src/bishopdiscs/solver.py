@@ -80,13 +80,13 @@ def build_slice_operators(curve, cmap):
     return SliceOperators(c, a, arg_c, c_star, d, d_energy, c_complex)
 
 
-def omega(f, curve, boundary_z=None):
-    """Level functional (q + P)(z (1 + F)) / r^2 along the boundary."""
+def omega(f, curve, boundary_z):
+    """Level functional (q + P)(z (1 + F)) / r^2 along the boundary points
+    boundary_z (the conformal grid the samples of F live on)."""
     f = np.asarray(f, dtype=complex)
     if np.max(np.abs(f)) >= F_CAP:
         raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {F_CAP}")
-    z = curve.points if boundary_z is None else boundary_z
-    pts = z * (1.0 + f)
+    pts = boundary_z * (1.0 + f)
     if np.max(np.abs(pts)) > Z_ESCAPE:
         raise ValidityEscape("evaluation point left the series validity region")
     vals = curve.data.eval_qp(pts)

@@ -60,14 +60,18 @@ def test_verify_accepts_tolerance_below_noise_floor(tmp_path):
     assert json.loads((out / "verify_report.json").read_text())["allPassed"]
 
 
-def test_reports_are_byte_identical(tmp_path):
-    args = ["disc", "--spec", "builtin:order7", "--r-list", "0.05,0.1",
-            "--seed", "3"]
+@pytest.mark.parametrize("args, report", [
+    (["disc", "--spec", "builtin:order7", "--r-list", "0.05,0.1", "--seed", "3"],
+     "disc_report.json"),
+    (["sweep", "--spec", "builtin:perturbed", "--r-list", "0.03,0.05,0.1"],
+     "sweep_report.json"),
+], ids=["disc", "sweep"])
+def test_reports_are_byte_identical(tmp_path, args, report):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out_a)]) == 0
     assert main(args + ["--out", str(out_b)]) == 0
-    ra = json.loads((out_a / "disc_report.json").read_text())
-    rb = json.loads((out_b / "disc_report.json").read_text())
+    ra = json.loads((out_a / report).read_text())
+    rb = json.loads((out_b / report).read_text())
     ra["config"].pop("out")
     rb["config"].pop("out")
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)

@@ -93,7 +93,7 @@ def test_l7_disc_attachment(rate_family):
     disc = build_disc(spec, sp, rate_family[0.1])
     assert disc.boundary_residual < 1e-8
     assert disc.center_offset < 1e-10
-    assert disc.center_height_residual < 1e-8
+    assert disc.solution.center_height_residual < 1e-8
 
 
 def test_disc_interior_is_analytic(rate_family):
@@ -172,7 +172,7 @@ def test_jacobian_probe_is_sensitive(rate_family):
 def test_quadric_sweep_disjoint_and_nested():
     spec = make_spec(lam=0.2, k7=0.0, radius=0.3)
     grid = [(0.0, 0.0), (0.05, 0.0), (0.0, 0.05)]
-    report = sweep(spec, grid, [0.05, 0.08, 0.1], with_jacobian=False)
+    report = sweep(spec, grid, [0.05, 0.08, 0.1])
     assert not report.failures
     assert report.converged_count() == 9
     assert report.nested_curves
@@ -199,8 +199,7 @@ def test_l7_sweep_rates_and_jacobian():
 
 def test_sweep_records_failures_and_continues():
     spec = make_spec()
-    report = sweep(spec, [X0], [0.05, 0.25], with_jacobian=False,
-                   with_rates=False)
+    report = sweep(spec, [X0], [0.05, 0.25])
     assert len(report.failures) == 1
     assert "ValidityEscape" in report.failures[0]["error"]
     assert report.converged_count() == 1
@@ -208,7 +207,6 @@ def test_sweep_records_failures_and_continues():
 
 def test_sweep_hilbert_probe_entries():
     spec = make_spec(cubic=0.1, k7=0.0)
-    report = sweep(spec, [X0], [0.02, 0.04, 0.08], with_jacobian=False,
-                   with_rates=False, with_hilbert_probe=True)
+    report = sweep(spec, [X0], [0.02, 0.04, 0.08])
     assert len(report.hilbert_gaps) == 1
     assert report.hilbert_gaps[0]["gap"] > 0.0

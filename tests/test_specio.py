@@ -109,6 +109,16 @@ def test_out_of_range_bidegrees_rejected():
         specio.loads(json.dumps(raw))
 
 
+def test_negative_parameter_exponent_rejected():
+    # order7 with its K exponent (0, 0) changed to (-1, 1): X^-1 at X = 0
+    with open(specio.resolve_spec_path("builtin:order7"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    for row in obj["K"]:
+        row[2][0][0] = [-1, 1]
+    with pytest.raises(SpecParseError, match=r"\(-1, 1\) is out of range"):
+        specio.loads(json.dumps(obj))
+
+
 @pytest.mark.parametrize("key, value, error", [
     ("maxDegree", "x", SpecParseError),
     ("maxDegree", 2.5, SpecParseError),
