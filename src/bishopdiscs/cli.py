@@ -77,6 +77,8 @@ def parse_x_grid(descriptor, nvars):
         return [tuple(0.0 for _ in range(nvars))]
     if ":" in descriptor:
         lo, hi, count = descriptor.split(":")
+        if int(count) < 1:
+            raise ValueError(f"grid count must be at least 1, got {count}")
         axis = np.linspace(float(lo), float(hi), int(count))
         grids = np.meshgrid(*([axis] * nvars), indexing="ij")
         return [tuple(row) for row in np.stack([g.ravel() for g in grids], axis=1)]

@@ -6,8 +6,12 @@ sigma'(0) > 0) satisfies the conjugation relation
 
     theta(t) - t = H[ log(rho(theta(t)) / r) ],
 
-with H the zero-mean circle conjugation. The fixed point is computed by a
-damped Newton iteration on the discretized relation; when the shape
+with H the zero-mean circle conjugation (Theodorsen's equation). The fixed
+point is computed by a damped Newton iteration on the discretized relation
+(Wegmann, J. Comput. Appl. Math. 14, 1986). rho is read off the level set
+itself at the off-grid angles theta(t): each ray is solved by
+curve.radial_root, warm-started from the last accepted rho, and the Newton
+slope d log rho / d theta comes from curve.log_radial_slope. When the shape
 condition eps = max |d log rho / d theta| exceeds the contraction range the
 solve is staged through the homotopy s * log(rho/r), s in (0, 1].
 
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import fourier
 from .errors import NoConvergence
-from .curve import BoundaryCurve
+from .curve import BoundaryCurve, log_radial_slope, radial_root
 
 MAP_TOL = 1e-11        # sup norm of the correspondence residual
 MAP_MAX_ITER = 200     # Newton steps over all homotopy stages
@@ -87,50 +91,50 @@ class ConformalMap:
         return w
 
 
-def _newton_stage(g, psi, conj_mat, t, budget):
-    """Damped Newton on psi - H[g(t + psi)] = 0; returns (psi, used, residual)."""
-    dg = fourier.derivative(g)
+def _newton_stage(data, r, s, psi, rho, conj_mat, t, budget):
+    """Damped Newton on psi - H[s log(rho(t + psi) / r)] = 0, with rho the
+    level-set radius at t + psi; returns (psi, rho, used, residual)."""
+    def residual(p, rho_p):
+        return p - conj_mat @ (s * np.log(rho_p / r))
 
-    def residual(p):
-        return p - conj_mat @ np.real(fourier.eval_interpolant(g, t + p))
-
-    res = residual(psi)
+    res = residual(psi, rho)
     res_norm = np.max(np.abs(res))
     used = 0
     while used < budget and res_norm >= MAP_TOL:
-        slope = np.real(fourier.eval_interpolant(dg, t + psi))
+        slope = s * log_radial_slope(data, rho, t + psi)
         jac = np.eye(len(psi)) - conj_mat * slope[None, :]
         delta = np.linalg.solve(jac, -res)
         alpha = 1.0
         while True:
             trial = psi + alpha * delta
-            trial_res = residual(trial)
+            trial_rho = radial_root(data, t + trial, r, rho)
+            trial_res = residual(trial, trial_rho)
             trial_norm = np.max(np.abs(trial_res))
             if trial_norm < res_norm * (1.0 - 0.25 * alpha) or trial_norm < MAP_TOL:
                 break
             if alpha <= 1.0 / 64.0:    # the shortest step is taken even if it fails
                 break
             alpha *= 0.5
-        psi, res, res_norm = trial, trial_res, trial_norm
+        psi, rho, res, res_norm = trial, trial_rho, trial_res, trial_norm
         used += 1
-    return psi, used, res_norm
+    return psi, rho, used, res_norm
 
 
 def riemann_map(curve):
     """Boundary correspondence of the normalized map for a star-shaped curve."""
     n = len(curve.theta_grid)
     t = fourier.grid(n)
-    g_full = np.log(curve.rho / curve.r)     # log radial function, rescaled
-    eps_grid = float(np.max(np.abs(fourier.derivative(g_full))))
+    data, r = curve.data, curve.r
+    eps_grid = float(np.max(np.abs(log_radial_slope(data, curve.rho, t))))
     conj_mat = _conjugation_matrix(n)
 
     n_stages = max(1, int(np.ceil(eps_grid / 0.85)))
     psi = np.zeros(n)
+    rho = curve.rho
     iterations = 0
-    res_norm = np.max(np.abs(psi))
     for stage in range(1, n_stages + 1):
-        g = g_full if stage == n_stages else (stage / n_stages) * g_full
-        psi, used, res_norm = _newton_stage(g, psi, conj_mat, t, MAP_MAX_ITER - iterations)
+        psi, rho, used, res_norm = _newton_stage(
+            data, r, stage / n_stages, psi, rho, conj_mat, t, MAP_MAX_ITER - iterations)
         iterations += used
         if res_norm >= MAP_TOL:
             raise NoConvergence(
@@ -138,8 +142,7 @@ def riemann_map(curve):
                 f"(shape condition eps = {eps_grid:.3f})")
 
     theta = t + psi
-    g_at = np.real(fourier.eval_interpolant(g_full, theta))
-    boundary_sigma = np.exp(g_at) * np.exp(1j * theta)
+    boundary_sigma = (rho / r) * np.exp(1j * theta)
     coeffs = fourier.taylor_from_boundary(boundary_sigma, n // 4)   # n: curve grid
     if abs(coeffs[0]) > 1e-9:
         raise NoConvergence(
@@ -147,9 +150,8 @@ def riemann_map(curve):
             f"under-resolves the map, try ntheta = {2 * n}")
     if coeffs[1].real <= 0.0 or abs(coeffs[1].imag) > 1e-9 * abs(coeffs[1]):
         raise NoConvergence(f"derivative at 0 not positive real: {coeffs[1]:.3e}")
-    boundary_z = curve.r * boundary_sigma
-    eps_cond = float(np.max(np.abs(np.real(fourier.eval_interpolant(
-        fourier.derivative(g_full), theta)))))
+    boundary_z = r * boundary_sigma
+    eps_cond = float(np.max(np.abs(log_radial_slope(data, rho, theta))))
     margin = float(1.0 + np.min(fourier.upsample(fourier.derivative(psi), 4)))
     return ConformalMap(
         curve=curve,

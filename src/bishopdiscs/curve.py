@@ -4,7 +4,8 @@ For a slice (X, r) the boundary is the closed curve where the real part of
 the defining function equals r^2. The curves of interest are small
 star-shaped perturbations of an ellipse, so each ray from the origin meets
 the curve once and the radial function rho(theta) is found by a safeguarded
-Newton iteration.
+Newton iteration, radial_root. The conformal map solves its off-grid rays
+with the same function.
 """
 
 from dataclasses import dataclass
@@ -77,7 +78,6 @@ class BoundaryCurve:
     """The traced level curve, sampled at equispaced polar angles."""
 
     slice: SliceParams
-    lam: float
     theta_grid: np.ndarray
     rho: np.ndarray
     points: np.ndarray
@@ -91,10 +91,6 @@ class BoundaryCurve:
     def residual(self):
         """Level-equation defect |qp(z) - r^2| at the stored points."""
         return np.abs(self.data.eval_qp(self.points).real - self.r ** 2)
-
-
-def _radial_values(data, rho, theta):
-    return data.eval_qp(rho * np.exp(1j * theta)).real
 
 
 def _radial_slope(data, rho, theta):
@@ -121,13 +117,54 @@ def check_radial_monotonicity(data, r):
                 "reduce r or the perturbation")
 
 
+def radial_root(data, theta, r, rho0):
+    """Radius where each ray at angle theta meets the level set qp = r^2.
+
+    Safeguarded Newton from rho0, falling back to bisection inside the
+    bracket (1e-12 r, ray reach * r); converges to TRACE_TOL * r^2.
+    """
+    rho = rho0
+    e = np.exp(1j * theta)
+    target = r ** 2
+    tol = TRACE_TOL * target
+    reach = _ray_reach(data.lam)
+    lo = np.full(theta.shape, 1e-12 * r)
+    hi = np.full(theta.shape, reach * r)
+    f_hi = data.eval_qp(hi * e).real - target
+    if np.any(f_hi <= 0.0):
+        raise NoRoot(
+            f"level value at |z| = {reach:.2f} r does not exceed r^2 on every ray")
+
+    for _ in range(80):
+        f = data.eval_qp(rho * e).real - target
+        converged = np.abs(f) < tol
+        if np.all(converged):
+            return rho
+        lo = np.where(f < 0.0, np.maximum(lo, rho), lo)
+        hi = np.where(f > 0.0, np.minimum(hi, rho), hi)
+        step = f / _radial_slope(data, rho, theta)
+        proposal = rho - step
+        outside = (proposal <= lo) | (proposal >= hi)
+        rho = np.where(converged, rho,
+                       np.where(outside, 0.5 * (lo + hi), proposal))
+    raise NoRoot("radial Newton/bisection did not converge on all rays")
+
+
+def log_radial_slope(data, rho, theta):
+    """d log rho / d theta along the level set, by implicit differentiation:
+    -Re(qp_z i z) / (rho Re(qp_z e^{i theta})) = Im(w) / Re(w), where
+    z = rho e^{i theta} and w = qp_z e^{i theta}."""
+    e = np.exp(1j * theta)
+    w = data.eval_qp_dz(rho * e) * e
+    return w.imag / w.real
+
+
 def trace_level_curve(spec, slice_params, config=DEFAULT_CONFIG):
     """Sample the slice boundary at config.ntheta equispaced polar angles.
 
     spec may be a ManifoldSpec (anything with .slice_at) or a SliceData.
     """
     data = spec.slice_at(slice_params.x) if hasattr(spec, "slice_at") else spec
-    n = config.ntheta
     r = slice_params.r
     if r > R_MAX:
         raise ValidityEscape(f"slice radius {r} exceeds r_max = {R_MAX}; reduce r")
@@ -137,40 +174,14 @@ def trace_level_curve(spec, slice_params, config=DEFAULT_CONFIG):
             f"parameter point {slice_params.x} outside the validity ball {radius}")
     check_radial_monotonicity(data, r)
 
-    theta = fourier.grid(n)
-    target = r ** 2
+    theta = fourier.grid(config.ntheta)
     # quadric initial guess: rho^2 (1 + 2 lam cos 2 theta) = r^2
     base = 1.0 + 2.0 * data.lam * np.cos(2 * theta)
-    rho = r / np.sqrt(np.maximum(base, 1e-8))
-
-    tol = TRACE_TOL * target
-    reach = _ray_reach(data.lam)
-    lo = np.full(n, 1e-12 * r)
-    hi = np.full(n, reach * r)
-    f_hi = _radial_values(data, hi, theta) - target
-    if np.any(f_hi <= 0.0):
-        raise NoRoot(
-            f"level value at |z| = {reach:.2f} r does not exceed r^2 on every ray")
-
-    converged = np.zeros(n, dtype=bool)
-    for _ in range(80):
-        f = _radial_values(data, rho, theta) - target
-        converged = np.abs(f) < tol
-        if np.all(converged):
-            break
-        lo = np.where(f < 0.0, np.maximum(lo, rho), lo)
-        hi = np.where(f > 0.0, np.minimum(hi, rho), hi)
-        step = f / _radial_slope(data, rho, theta)
-        proposal = rho - step
-        outside = (proposal <= lo) | (proposal >= hi)
-        rho = np.where(converged, rho,
-                       np.where(outside, 0.5 * (lo + hi), proposal))
-    else:
-        raise NoRoot("radial Newton/bisection did not converge on all rays")
+    rho = radial_root(data, theta, r, r / np.sqrt(np.maximum(base, 1e-8)))
 
     points = rho * np.exp(1j * theta)
     tangents = fourier.derivative(points)
-    curve = BoundaryCurve(slice_params, data.lam, theta, rho, points, tangents, data)
+    curve = BoundaryCurve(slice_params, theta, rho, points, tangents, data)
     if np.any(rho <= 0.0):
         raise NotStarShaped("nonpositive radial function")
     if fourier.winding_number(points) != 1:

@@ -75,7 +75,6 @@ def extend_in_disc(boundary_values, zeta, n_coeffs=None):
 class AttachedDisc:
     """One analytic disc in ambient coordinates, over a unit-disc grid."""
 
-    slice: SliceParams
     zeta: np.ndarray          # (n_radii, ntheta) interior grid, closed disc
     z_values: np.ndarray
     w_values: np.ndarray
@@ -90,7 +89,7 @@ class AttachedDisc:
         stride = max(1, len(z) // CLOUD_POINTS)
         z = z[::stride][:CLOUD_POINTS]
         w = w[::stride][:CLOUD_POINTS]
-        x = np.asarray(self.slice.x, dtype=float)
+        x = np.asarray(self.solution.curve.slice.x, dtype=float)
         cols = [z.real, z.imag]
         cols.extend(np.full(len(z), xv) for xv in x)
         cols.extend([w.real, w.imag])
@@ -106,7 +105,10 @@ def interior_grid(n_radii, ntheta):
 
 
 def build_disc(spec, slice_params, solution, config=DEFAULT_CONFIG):
-    """Populate the interior of one solved slice disc and check attachment."""
+    """Populate the interior of one solved slice disc and check attachment.
+
+    Only solution is read; it carries the slice and its grid.
+    """
     cmap = solution.cmap
     boundary_zc = cmap.boundary_z * (1.0 + solution.f_samples)
     boundary_w = solution.b_samples
@@ -121,7 +123,6 @@ def build_disc(spec, slice_params, solution, config=DEFAULT_CONFIG):
     boundary_residual = float(np.max(np.abs(boundary_w - direct)))
     z_center = complex(np.mean(boundary_zc))
     return AttachedDisc(
-        slice=slice_params,
         zeta=zeta,
         z_values=z_values,
         w_values=w_values,

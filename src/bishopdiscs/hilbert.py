@@ -105,7 +105,8 @@ def norm_probe(cmap, j, seed=0):
     linearly in r when the perturbation is nontrivial. The model map is
     built on the same grid as cmap.
     """
-    model = quadric_slice(cmap.curve.lam, max_degree=cmap.curve.data.qp.shape[0] - 1)
+    data = cmap.curve.data
+    model = quadric_slice(data.lam, max_degree=data.qp.shape[0] - 1)
     model_curve = trace_level_curve(model, cmap.curve.slice, PipelineConfig(ntheta=cmap.n))
     model_map = riemann_map(model_curve)
     theta_grid = fourier.grid(cmap.n)

@@ -125,6 +125,14 @@ def test_invalid_run_config(tmp_path, capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["curve", "--figures"], ["verify"], ["sweep"]])
+def test_empty_tensor_grid_is_rejected(tmp_path, capsys, args):
+    code = main([args[0], "--spec", "builtin:perturbed", "--out", str(tmp_path / "e"),
+                 "--r-list", "0.05", "--x-grid", "0:1:0"] + args[1:])
+    assert code == 2
+    assert "error: grid count must be at least 1" in capsys.readouterr().err
+
+
 def test_x_grid_parsing():
     assert parse_x_grid("0", 2) == [(0.0, 0.0)]
     grid = parse_x_grid("-0.05:0.05:3", 2)

@@ -6,7 +6,8 @@ from scipy.optimize import brentq
 
 from bishopdiscs import fourier
 from bishopdiscs.curve import (
-    SliceParams, quadric_slice, trace_level_curve,
+    TRACE_TOL, SliceParams, log_radial_slope, quadric_slice, radial_root,
+    trace_level_curve,
 )
 from bishopdiscs.errors import NotStarShaped
 from conftest import perturbed_slice
@@ -44,6 +45,21 @@ def test_perturbed_curve_residual_and_bisection_oracle():
         root = brentq(level, 1e-6 * r, 3.0 * r, xtol=1e-16, rtol=8.9e-16)
         i = np.argmin(np.abs(curve.theta_grid - theta))
         assert curve.rho[i] == pytest.approx(root, rel=1e-12)
+
+
+def test_radial_root_off_grid():
+    r = 0.05
+    data = perturbed_slice(0.25)
+    theta = np.random.default_rng(3).uniform(0.0, 2 * np.pi, 64)
+    rho = radial_root(data, theta, r, np.full(64, r))
+    defect = data.eval_qp(rho * np.exp(1j * theta)).real - r ** 2
+    assert np.max(np.abs(defect)) < TRACE_TOL * r ** 2
+
+    # implicit slope against a central difference of the ray solve
+    h = 1e-5
+    fd = (np.log(radial_root(data, theta + h, r, rho))
+          - np.log(radial_root(data, theta - h, r, rho))) / (2 * h)
+    assert np.max(np.abs(log_radial_slope(data, rho, theta) - fd)) < 1e-8
 
 
 def test_star_shapedness_violation_detected():
