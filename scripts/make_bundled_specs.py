@@ -57,7 +57,7 @@ def make_raw_example():
         (2, 3): coeff({}, {(0, 0): 0.003}),
         (3, 3): coeff({}, {(0, 0): 0.002}),
     })
-    return RawDefiningSeries(series, 2, 0.15)
+    return RawDefiningSeries(series, 2, 7, 0.15)
 
 
 def main():

@@ -9,7 +9,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +33,12 @@ class RunConfig:
     command: str
     spec_path: str
     out_dir: str
-    ntheta: int = 256
-    tol: float = 1e-12
-    r_list: list = field(default_factory=lambda: [0.02, 0.03, 0.045, 0.068, 0.1])
-    x_grid: str = "0"
-    figures: bool = False
-    seed: int = 0
+    ntheta: int
+    tol: float
+    r_list: list
+    x_grid: str
+    figures: bool
+    seed: int
 
     def validate(self):
         if self.ntheta < 64 or self.ntheta & (self.ntheta - 1):
@@ -68,27 +68,38 @@ class RunConfig:
         }
 
 
+X_GRID_FORMS = "'0', 'a:b:n' (per-axis tensor grid) or 'x,y;x,y;...' tuples"
+
+
 def parse_x_grid(descriptor, nvars):
-    """Either '0', 'a:b:n' (per-axis tensor grid), or 'x;y;...' tuples."""
+    """Parameter points of an --x-grid descriptor in one of X_GRID_FORMS."""
     if nvars == 0:
         return [()]
     descriptor = descriptor.strip()
-    if descriptor == "0":
-        return [tuple(0.0 for _ in range(nvars))]
-    if ":" in descriptor:
-        lo, hi, count = descriptor.split(":")
-        if int(count) < 1:
-            raise ValueError(f"grid count must be at least 1, got {count}")
-        axis = np.linspace(float(lo), float(hi), int(count))
-        grids = np.meshgrid(*([axis] * nvars), indexing="ij")
-        return [tuple(row) for row in np.stack([g.ravel() for g in grids], axis=1)]
-    points = []
-    for chunk in descriptor.split(";"):
-        vals = tuple(float(v) for v in chunk.split(","))
-        if len(vals) != nvars:
-            raise ValueError(f"grid point {chunk!r} has {len(vals)} of {nvars} coordinates")
-        points.append(vals)
-    return points
+    try:
+        if descriptor == "0":
+            return [tuple(0.0 for _ in range(nvars))]
+        if ":" in descriptor:
+            fields = descriptor.split(":")
+            if len(fields) != 3:
+                raise ValueError(f"a tensor grid has 3 fields, got {len(fields)}")
+            lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
+            if count < 1:
+                raise ValueError(f"grid count must be at least 1, got {count}")
+            axis = np.linspace(lo, hi, count)
+            grids = np.meshgrid(*([axis] * nvars), indexing="ij")
+            return [tuple(row) for row in np.stack([g.ravel() for g in grids], axis=1)]
+        points = []
+        for chunk in descriptor.split(";"):
+            vals = tuple(float(v) for v in chunk.split(","))
+            if len(vals) != nvars:
+                raise ValueError(
+                    f"grid point {chunk!r} has {len(vals)} of {nvars} coordinates")
+            points.append(vals)
+        return points
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc}; --x-grid {descriptor!r} must be {X_GRID_FORMS}") from None
 
 
 def write_report(out_dir, name, payload, run_config):
@@ -109,7 +120,7 @@ def write_report(out_dir, name, payload, run_config):
 def cmd_normalize(spec, run_config):
     if not isinstance(spec, RawDefiningSeries):
         raise PipelineError("normalize expects a raw defining series ('raw' field)")
-    out, change = normalize_full(spec, l=7)
+    out, change = normalize_full(spec, spec.l)
     specio.save(out, Path(run_config.out_dir) / "normalized_spec.json")
     records = {}
     for x in sorted(change.records):
@@ -328,7 +339,7 @@ def build_parser():
                         help="solver tolerance, scaled by r^2 per slice "
                              "(disc, sweep, verify)")
     parser.add_argument("--r-list", default="0.02,0.03,0.045,0.068,0.1")
-    parser.add_argument("--x-grid", default="0")
+    parser.add_argument("--x-grid", default="0", help=X_GRID_FORMS)
     parser.add_argument("--figures", action="store_true")
     parser.add_argument("--seed", type=int, default=0)
     return parser

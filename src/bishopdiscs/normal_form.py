@@ -15,9 +15,9 @@ grid afterwards:
      Re C_m(z, q(z)) = (current degree-m imaginary part) subject to
      Im C_m(0, u) = 0.
 
-All transformations are recorded per sample (exact replay) and as degree-2
-least-squares parameter fits (reporting); downstream slices use the
-pointwise tables when available.
+normalize_full runs the four steps once per sample. All transformations are
+recorded per sample (exact replay) and as degree-2 least-squares parameter
+fits (reporting); downstream slices use the pointwise tables when available.
 """
 
 from dataclasses import dataclass, field
@@ -104,9 +104,14 @@ class RawDefiningSeries:
 
     series: BidegreeSeries
     n: int
+    l: int
     validity_radius: float
 
     def __post_init__(self):
+        if not 7 <= self.l <= self.series.max_degree:
+            raise SchemaViolation(
+                f"order parameter l must lie in [7, maxDegree = {self.series.max_degree}],"
+                f" got {self.l}")
         zero = np.zeros(self.series.nvars)
         c00 = self.series.coeff(0, 0).evaluate(zero)
         if abs(c00) > 1e-12:
@@ -156,10 +161,6 @@ class ManifoldSpec:
         qp += self.p.fix_parameters(xa)
         kmat = self.k.fix_parameters(xa)
         return SliceData.from_matrices(lam_val, qp, kmat)
-
-    def store_sample(self, x, lam_val, qp, kmat):
-        key = tuple(float(v) for v in np.atleast_1d(x))
-        self.samples[key] = (float(lam_val), qp, kmat)
 
     def validate(self):
         if self.l < 7:
@@ -219,8 +220,7 @@ class CoordinateChange:
         """Replay the stored transformation on the raw series at one sample."""
         key = tuple(float(v) for v in np.atleast_1d(x))
         rec = self.records[key]
-        mat = raw.slice_matrix(key) if hasattr(raw, "slice_matrix") else raw
-        mat = translate_matrix(mat, rec.z0)
+        mat = translate_matrix(raw.slice_matrix(key), rec.z0)
         mat = mat.copy()
         mat[0, 0] -= rec.const_shift
         mat[1, 0] -= rec.c10
@@ -239,6 +239,11 @@ class CoordinateChange:
         self.c10_fit = fit_complex(points, [r.c10 for r in recs], nvars)
         self.theta_fit = fit_parampoly(points, [r.theta for r in recs], nvars)
         self.quad_absorb_fit = fit_complex(points, [r.quad_absorb for r in recs], nvars)
+        # every record carries the same stages and monomials
+        self.bm_fits = {
+            m: {jk: fit_complex(points, [r.bm[m][jk] for r in recs], nvars)
+                for jk in sorted(cm)}
+            for m, cm in sorted(recs[0].bm.items())}
         return self
 
 
@@ -320,44 +325,6 @@ def _normalize_slice(mat, x):
     return t, rec
 
 
-def _assemble_spec(n, l, nvars, points, lams, mats, max_degree, validity_radius):
-    """ManifoldSpec of per-sample normalized matrices: lam, P and K fitted
-    over the points, the exact matrices kept as the sample table."""
-    size = max_degree + 1
-    p_mats = [real_part_matrix(m) - quadric_matrix(lam, size)
-              for m, lam in zip(mats, lams)]
-    k_mats = [imag_part_matrix(m) for m in mats]
-    spec = ManifoldSpec(
-        n=n, l=l, lam=fit_parampoly(points, lams, nvars),
-        p=fit_series(points, p_mats, nvars, max_degree),
-        k=fit_series(points, k_mats, nvars, max_degree),
-        validity_radius=validity_radius)
-    for x, lam, pm, km in zip(points, lams, p_mats, k_mats):
-        spec.store_sample(x, lam, quadric_matrix(lam, size) + pm, km)
-    return spec
-
-
-def normalize_quadric(raw, sample_points=None):
-    """Reduce a raw defining series to quadric normal form on a sample grid.
-
-    Returns a ManifoldSpec whose K part is not yet normalized (feed it to
-    kill_imaginary_part) and the recorded CoordinateChange.
-    """
-    points = sample_points or sample_grid(raw.nvars, raw.validity_radius)
-    points = [tuple(float(v) for v in p) for p in points]
-    change = CoordinateChange()
-    mats = []
-    for x in points:
-        mat, change.records[x] = _normalize_slice(raw.slice_matrix(x), x)
-        mats.append(mat)
-    change.fit_over(points, raw.nvars)
-    # l is a placeholder until kill_imaginary_part assigns the real order
-    spec = _assemble_spec(raw.n, 7, raw.nvars, points,
-                          [change.records[x].lam for x in points], mats,
-                          raw.series.max_degree, raw.validity_radius)
-    return spec, change
-
-
 def weighted_monomials(m):
     """Exponent pairs (j1, j2) of z^{j1} w^{j2} with weight j1 + 2 j2 = m."""
     return [(m - 2 * j2, j2) for j2 in range(m // 2 + 1)]
@@ -413,56 +380,51 @@ def solve_normalization_stage(lam_val, defect, m, size):
     return out, cond
 
 
-def kill_imaginary_part(spec, l, change=None):
-    """Remove the imaginary tail through weight l by holomorphic w-shifts.
-
-    spec must be in quadric normal form with a populated sample table.
-    Returns the normalized ManifoldSpec and the updated CoordinateChange.
-    """
-    if change is None:
-        change = CoordinateChange()
-    if spec.max_degree < l:
-        raise SchemaViolation(
-            f"series degree {spec.max_degree} too small for order l = {l}")
-    points = sorted(spec.samples)
-    if not points:
-        raise SchemaViolation("spec carries no sample table; run normalize_quadric")
-    size = spec.max_degree + 1
-    new_mats = []
-    for x in points:
-        lam_val, qp, kmat = spec.samples[x]
-        s = qp + 1j * kmat
-        rec = change.records.setdefault(
-            x, StageRecord(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, lam_val))
-        for m in range(3, l + 1):
-            defect = np.zeros_like(s)
-            im = imag_part_matrix(s)
-            for j in range(m + 1):
-                defect[j, m - j] = im[j, m - j]
-            cm, _ = solve_normalization_stage(lam_val, defect, m, size)
-            rec.bm[m] = cm
-            s = s - 1j * compose_w(cm, s)
-            residual = imag_part_matrix(s)
-            stage_res = max(abs(residual[j, m - j]) for j in range(m + 1))
-            if stage_res > 1e-10 * (1.0 + np.max(np.abs(defect))):
-                raise SingularNormalizationMatrix(
-                    f"stage {m} left residual {stage_res:.3e} at X={x}")
-        new_mats.append(s)
-
-    nvars = spec.nvars
-    out = _assemble_spec(spec.n, l, nvars, points, [spec.samples[x][0] for x in points],
-                         new_mats, spec.max_degree, spec.validity_radius)
-    stages = sorted({m for x in points for m in change.records[x].bm})
-    for m in stages:
-        keys = sorted({jk for x in points for jk in change.records[x].bm.get(m, {})})
-        change.bm_fits[m] = {
-            jk: fit_complex(points, [change.records[x].bm.get(m, {}).get(jk, 0.0)
-                                     for x in points], nvars)
-            for jk in keys}
-    return out, change
+def _kill_imaginary_tail(s, rec, l, x):
+    """Run step 4 on one slice matrix; records each stage's C_m in rec.bm."""
+    size = s.shape[0]
+    for m in range(3, l + 1):
+        defect = np.zeros_like(s)
+        im = imag_part_matrix(s)
+        for j in range(m + 1):
+            defect[j, m - j] = im[j, m - j]
+        cm, _ = solve_normalization_stage(rec.lam, defect, m, size)
+        rec.bm[m] = cm
+        s = s - 1j * compose_w(cm, s)
+        residual = imag_part_matrix(s)
+        stage_res = max(abs(residual[j, m - j]) for j in range(m + 1))
+        if stage_res > 1e-10 * (1.0 + np.max(np.abs(defect))):
+            raise SingularNormalizationMatrix(
+                f"stage {m} left residual {stage_res:.3e} at X={x}")
+    return s
 
 
 def normalize_full(raw, l, sample_points=None):
-    """Quadric normalization followed by the imaginary-tail elimination."""
-    pre, change = normalize_quadric(raw, sample_points)
-    return kill_imaginary_part(pre, l, change)
+    """Reduce a raw defining series to normal form through weight l.
+
+    Each sample runs steps 1-4 once. Returns the ManifoldSpec (lam, P and K
+    fitted over the samples, the exact matrices kept as its sample table)
+    and the recorded CoordinateChange.
+    """
+    max_degree = raw.series.max_degree
+    if max_degree < l:
+        raise SchemaViolation(
+            f"series degree {max_degree} too small for order l = {l}")
+    points = sample_points or sample_grid(raw.nvars, raw.validity_radius)
+    points = [tuple(float(v) for v in p) for p in points]
+    change = CoordinateChange()
+    samples = {}
+    for x in points:
+        mat, rec = _normalize_slice(raw.slice_matrix(x), x)
+        mat = _kill_imaginary_tail(mat, rec, l, x)
+        change.records[x] = rec
+        samples[x] = (float(rec.lam), real_part_matrix(mat), imag_part_matrix(mat))
+    change.fit_over(points, raw.nvars)
+    lams, qps, kmats = zip(*(samples[x] for x in points))
+    p_mats = [qp - quadric_matrix(lam, max_degree + 1) for lam, qp in zip(lams, qps)]
+    spec = ManifoldSpec(
+        n=raw.n, l=l, lam=fit_parampoly(points, lams, raw.nvars),
+        p=fit_series(points, p_mats, raw.nvars, max_degree),
+        k=fit_series(points, kmats, raw.nvars, max_degree),
+        validity_radius=raw.validity_radius, samples=samples)
+    return spec, change

@@ -67,7 +67,7 @@ def loads(text, source="<string>"):
 
     if "raw" in obj:
         series = _parse_series(obj["raw"], nvars, max_degree, param_degree, "raw")
-        return RawDefiningSeries(series, n, radius)
+        return RawDefiningSeries(series, n, l, radius)
 
     lam_rows = _require(obj, "lambda", list)
     try:
@@ -94,7 +94,7 @@ def dumps(spec):
     if isinstance(spec, RawDefiningSeries):
         obj = {
             "N": spec.n,
-            "l": 7,
+            "l": spec.l,
             "validityRadius": spec.validity_radius,
             "maxDegree": spec.series.max_degree,
             "paramDegree": spec.series.param_degree,

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from bishopdiscs import specio
 from bishopdiscs.cli import main, parse_x_grid
 
 
@@ -113,9 +114,35 @@ def test_normalize_command(tmp_path):
     assert all(r["roundTripResidual"] < 1e-10 for r in report["records"].values())
     normalized = out / "normalized_spec.json"
     assert normalized.exists()
-    from bishopdiscs import specio
     reloaded = specio.load(normalized)
     assert reloaded.l == 7
+
+
+def raw_example_with_order(tmp_path, l):
+    obj = json.loads(Path(specio.resolve_spec_path("builtin:raw_example")).read_text())
+    obj["l"] = l
+    path = tmp_path / f"raw_l{l}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_normalize_reduces_through_the_file_order(tmp_path):
+    out = tmp_path / "n9"
+    code = main(["normalize", "--spec", raw_example_with_order(tmp_path, 9),
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "normalize_report.json").read_text())
+    assert report["order"] == 9
+    assert set(report["changeFits"]["tailStages"]) == {str(m) for m in range(3, 10)}
+    assert specio.load(out / "normalized_spec.json").l == 9
+
+
+@pytest.mark.parametrize("l", [3, 12])
+def test_raw_order_outside_range_is_rejected(tmp_path, capsys, l):
+    code = main(["normalize", "--spec", raw_example_with_order(tmp_path, l),
+                 "--out", str(tmp_path / "bad")])
+    assert code == 2
+    assert f"order parameter l must lie in [7, maxDegree = 10], got {l}" in capsys.readouterr().err
 
 
 def test_invalid_run_config(tmp_path, capsys):
@@ -131,6 +158,15 @@ def test_empty_tensor_grid_is_rejected(tmp_path, capsys, args):
                  "--r-list", "0.05", "--x-grid", "0:1:0"] + args[1:])
     assert code == 2
     assert "error: grid count must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("descriptor", ["0:1", "0:1:2:3", "1,2;"])
+def test_malformed_x_grid_names_the_option(tmp_path, capsys, descriptor):
+    code = main(["curve", "--spec", "builtin:perturbed", "--out", str(tmp_path / "g"),
+                 "--r-list", "0.05", "--x-grid", descriptor])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--x-grid {descriptor!r} must be '0', 'a:b:n'" in err
 
 
 def test_x_grid_parsing():

@@ -4,11 +4,11 @@ trips, stagewise elimination against a residual oracle, full-pipeline checks."""
 import numpy as np
 import pytest
 
-from bishopdiscs.errors import EllipticityViolation
+from bishopdiscs.errors import EllipticityViolation, SchemaViolation
 from bishopdiscs.normal_form import (
-    RawDefiningSeries, detect_cr_singularity, kill_imaginary_part,
-    normalize_full, normalize_quadric, recenter_cr_singularity, sample_grid,
-    solve_normalization_stage, weighted_monomials,
+    RawDefiningSeries, detect_cr_singularity, normalize_full,
+    recenter_cr_singularity, sample_grid, solve_normalization_stage,
+    weighted_monomials,
 )
 from bishopdiscs.series import (
     BidegreeSeries, ComplexParam, ParamPoly, compose_w, eval_matrix,
@@ -29,7 +29,7 @@ def C(re_terms, im_terms=None):
 
 def raw_from_coeffs(coeffs, radius=0.15, n=2):
     series = BidegreeSeries(NV, MD, PD, coeffs)
-    return RawDefiningSeries(series, n, radius)
+    return RawDefiningSeries(series, n, 7, radius)
 
 
 ONE = {(0, 0): 1.0}
@@ -107,7 +107,7 @@ def test_detect_after_recenter():
 
 def test_normalize_identity_on_normal_form():
     raw = plain_quadric_raw(lam=0.2)
-    spec, change = normalize_quadric(raw)
+    spec, change = normalize_full(raw, l=7)
     for x, rec in change.records.items():
         assert abs(rec.z0) < 1e-12
         assert abs(rec.gamma - 1.0) < 1e-12
@@ -126,7 +126,7 @@ def test_rotation_round_trip():
                 coeffs[(j, k)] = C({(0, 0): rotated[j, k].real},
                                    {(0, 0): rotated[j, k].imag})
     raw = raw_from_coeffs(coeffs)
-    spec, change = normalize_quadric(raw)
+    spec, change = normalize_full(raw, l=7)
     rec = change.records[(0.0, 0.0)]
     assert rec.theta == pytest.approx(0.3, abs=1e-12)
     assert rec.lam == pytest.approx(lam, abs=1e-12)
@@ -138,7 +138,7 @@ def test_quadratic_absorption_balances_coefficients():
         (2, 0): C({(0, 0): 0.31}, {(0, 0): 0.07}),   # Lambda1 != Lambda2
         (0, 2): C({(0, 0): 0.2}),
     })
-    spec, change = normalize_quadric(raw)
+    spec, change = normalize_full(raw, l=7)
     for x in sorted(spec.samples):
         _, qp, _ = spec.samples[x]
         assert abs(qp[2, 0] - qp[0, 2]) < 1e-12
@@ -148,7 +148,7 @@ def test_quadratic_absorption_balances_coefficients():
 
 def test_ellipticity_violation_detected():
     with pytest.raises(EllipticityViolation):
-        normalize_quadric(plain_quadric_raw(lam=0.4995))
+        normalize_full(plain_quadric_raw(lam=0.4995), l=7)
 
 
 # --------------------------------------------------------------------------
@@ -198,11 +198,15 @@ def test_weight4_stage_against_residual_oracle():
 
 
 def test_kill_is_identity_when_tail_absent():
-    spec, change = normalize_quadric(plain_quadric_raw(lam=0.2))
-    out, change = kill_imaginary_part(spec, 7, change)
+    spec, change = normalize_full(plain_quadric_raw(lam=0.2), l=7)
     for x, rec in change.records.items():
         for m, cm in rec.bm.items():
             assert max(abs(v) for v in cm.values()) < 1e-12
+
+
+def test_order_above_series_degree_rejected():
+    with pytest.raises(SchemaViolation, match="too small for order l = 11"):
+        normalize_full(plain_quadric_raw(lam=0.2), l=MD + 1)
 
 
 # --------------------------------------------------------------------------
