@@ -49,6 +49,9 @@ class RunConfig:
             raise ValueError("r-list must be nonempty and strictly increasing")
         if any(r <= 0 for r in self.r_list):
             raise ValueError("radii must be positive")
+        if self.figures and self.command != "curve":
+            raise ValueError(f"--figures is not an option of {self.command}; "
+                             "the figures are drawn by 'curve --figures'")
         return self
 
     def pipeline_config(self):
@@ -118,8 +121,6 @@ def write_report(out_dir, name, payload, run_config):
 # --------------------------------------------------------------------------
 
 def cmd_normalize(spec, run_config):
-    if not isinstance(spec, RawDefiningSeries):
-        raise PipelineError("normalize expects a raw defining series ('raw' field)")
     out, change = normalize_full(spec, spec.l)
     specio.save(out, Path(run_config.out_dir) / "normalized_spec.json")
     records = {}
@@ -172,9 +173,9 @@ def _slices(spec, run_config):
 def cmd_curve(spec, run_config):
     cfg = run_config.pipeline_config()
     rows = []
-    figures = []
+    maps = []
     for sp in _slices(spec, run_config):
-        curve = trace_level_curve(spec, sp, cfg)
+        curve = trace_level_curve(spec.slice_at(sp.x), sp, cfg)
         cmap = riemann_map(curve)
         rows.append({
             "x": list(sp.x), "r": sp.r,
@@ -184,16 +185,16 @@ def cmd_curve(spec, run_config):
             "univalenceMargin": cmap.univalence_margin,
             "iterations": cmap.iterations,
         })
-        figures.append((sp, curve, cmap))
+        maps.append(cmap)
     if run_config.figures:
         by_x = {}
-        for sp, curve, cmap in figures:
-            by_x.setdefault(sp.x, []).append(curve.points)
+        for cmap in maps:
+            by_x.setdefault(cmap.curve.slice.x, []).append(cmap.curve.points)
         for i, (x, curves) in enumerate(sorted(by_x.items())):
             write_svg(Path(run_config.out_dir) / f"curves_{i}.svg",
                       curve_family_svg(curves))
         write_svg(Path(run_config.out_dir) / "mapped_grid.svg",
-                  mapped_grid_svg(figures[-1][2]))
+                  mapped_grid_svg(maps[-1]))
     write_report(run_config.out_dir, "curve_report.json", {"slices": rows}, run_config)
     return 0
 
@@ -252,18 +253,6 @@ def cmd_sweep(spec, run_config):
     with open(Path(run_config.out_dir) / "sweep.csv", "w", encoding="utf-8",
               newline="") as fh:
         csv.writer(fh).writerows(_csv_rows(spec, report))
-    if run_config.figures:
-        for i, x in enumerate(grid):
-            curves = []
-            for r in run_config.r_list:
-                try:
-                    curves.append(trace_level_curve(
-                        spec, SliceParams(x, r), cfg).points)
-                except PipelineError:
-                    continue
-            if curves:
-                write_svg(Path(run_config.out_dir) / f"nested_{i}.svg",
-                          curve_family_svg(curves))
     return 0
 
 
@@ -361,6 +350,12 @@ def main(argv=None):
         ).validate()
         Path(run_config.out_dir).mkdir(parents=True, exist_ok=True)
         spec = specio.load(specio.resolve_spec_path(run_config.spec_path))
+        raw = isinstance(spec, RawDefiningSeries)
+        if args.command == "normalize" and not raw:
+            raise PipelineError("normalize expects a raw defining series ('raw' field)")
+        if args.command != "normalize" and raw:
+            raise PipelineError(f"{args.command} needs a normal-form manifold "
+                                "('lambda'/'P'/'K' fields); run normalize first")
         return COMMANDS[args.command](spec, run_config)
     except (PipelineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -122,7 +122,7 @@ def _newton_stage(data, r, s, psi, rho, conj_mat, t, budget):
 
 def riemann_map(curve):
     """Boundary correspondence of the normalized map for a star-shaped curve."""
-    n = len(curve.theta_grid)
+    n = len(curve.rho)
     t = fourier.grid(n)
     data, r = curve.data, curve.r
     eps_grid = float(np.max(np.abs(log_radial_slope(data, curve.rho, t))))

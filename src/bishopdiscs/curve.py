@@ -39,9 +39,6 @@ class SliceParams:
     def u(self):
         return self.r ** 2
 
-    def x_array(self):
-        return np.asarray(self.x, dtype=float)
-
 
 @dataclass(frozen=True)
 class SliceData:
@@ -78,10 +75,8 @@ class BoundaryCurve:
     """The traced level curve, sampled at equispaced polar angles."""
 
     slice: SliceParams
-    theta_grid: np.ndarray
     rho: np.ndarray
     points: np.ndarray
-    tangents: np.ndarray
     data: SliceData
 
     @property
@@ -159,19 +154,12 @@ def log_radial_slope(data, rho, theta):
     return w.imag / w.real
 
 
-def trace_level_curve(spec, slice_params, config=DEFAULT_CONFIG):
-    """Sample the slice boundary at config.ntheta equispaced polar angles.
-
-    spec may be a ManifoldSpec (anything with .slice_at) or a SliceData.
-    """
-    data = spec.slice_at(slice_params.x) if hasattr(spec, "slice_at") else spec
+def trace_level_curve(data, slice_params, config=DEFAULT_CONFIG):
+    """Sample the boundary of the slice with coefficients data (SliceData)
+    at config.ntheta equispaced polar angles."""
     r = slice_params.r
     if r > R_MAX:
         raise ValidityEscape(f"slice radius {r} exceeds r_max = {R_MAX}; reduce r")
-    radius = getattr(spec, "validity_radius", None)
-    if radius is not None and np.linalg.norm(slice_params.x_array()) > radius + 1e-12:
-        raise ValidityEscape(
-            f"parameter point {slice_params.x} outside the validity ball {radius}")
     check_radial_monotonicity(data, r)
 
     theta = fourier.grid(config.ntheta)
@@ -180,10 +168,8 @@ def trace_level_curve(spec, slice_params, config=DEFAULT_CONFIG):
     rho = radial_root(data, theta, r, r / np.sqrt(np.maximum(base, 1e-8)))
 
     points = rho * np.exp(1j * theta)
-    tangents = fourier.derivative(points)
-    curve = BoundaryCurve(slice_params, theta, rho, points, tangents, data)
     if np.any(rho <= 0.0):
         raise NotStarShaped("nonpositive radial function")
     if fourier.winding_number(points) != 1:
         raise NotStarShaped("curve does not wind once around the origin")
-    return curve
+    return BoundaryCurve(slice_params, rho, points, data)

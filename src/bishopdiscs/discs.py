@@ -55,8 +55,7 @@ def cauchy_extend(cmap, boundary_values, targets, config=DEFAULT_CONFIG):
         if np.any(np.abs(w) > 1.0 - 1e-6):
             raise TargetTooCloseToBoundary(
                 "extension target within a grid spacing of the boundary")
-        coeffs = fourier.taylor_from_boundary(g, cmap.n // 2)
-        out[~far] = fourier.eval_taylor(coeffs, w)
+        out[~far] = extend_in_disc(g, w, cmap.n // 2)
     return out
 
 
@@ -73,23 +72,29 @@ def extend_in_disc(boundary_values, zeta, n_coeffs=None):
 
 @dataclass(frozen=True)
 class AttachedDisc:
-    """One analytic disc in ambient coordinates, over a unit-disc grid."""
+    """One analytic disc, fixed by its solved boundary data; its ambient
+    components are evaluated on demand."""
 
-    zeta: np.ndarray          # (n_radii, ntheta) interior grid, closed disc
-    z_values: np.ndarray
-    w_values: np.ndarray
     boundary_residual: float
     center_offset: float      # |z component| at zeta = 0
     solution: DiscSolution
 
+    def values(self, zeta):
+        """Components (Z, W) of the disc at points zeta of the closed unit disc."""
+        sol = self.solution
+        cmap = sol.cmap
+        # keep the resolution of the stored map so the disc matches r sigma(zeta)
+        n_coeffs = len(cmap.coeffs)
+        z = extend_in_disc(cmap.boundary_z * (1.0 + sol.f_samples), zeta, n_coeffs)
+        return z, extend_in_disc(sol.b_samples, zeta, n_coeffs)
+
     def ambient_points(self):
-        """Flattened sample of ambient coordinates (Re z, Im z, X, Re w, Im w)."""
-        z = self.z_values.ravel()
-        w = self.w_values.ravel()
-        stride = max(1, len(z) // CLOUD_POINTS)
-        z = z[::stride][:CLOUD_POINTS]
-        w = w[::stride][:CLOUD_POINTS]
-        x = np.asarray(self.solution.curve.slice.x, dtype=float)
+        """Ambient coordinates (Re z, Im z, X, Re w, Im w) at up to
+        CLOUD_POINTS evenly strided nodes of interior_grid(16, ntheta)."""
+        zeta = interior_grid(16, self.solution.cmap.n).ravel()
+        stride = max(1, len(zeta) // CLOUD_POINTS)
+        z, w = self.values(zeta[::stride][:CLOUD_POINTS])
+        x = np.asarray(self.solution.cmap.curve.slice.x, dtype=float)
         cols = [z.real, z.imag]
         cols.extend(np.full(len(z), xv) for xv in x)
         cols.extend([w.real, w.imag])
@@ -105,29 +110,16 @@ def interior_grid(n_radii, ntheta):
 
 
 def build_disc(spec, slice_params, solution, config=DEFAULT_CONFIG):
-    """Populate the interior of one solved slice disc and check attachment.
+    """Check attachment and centering of one solved slice disc.
 
     Only solution is read; it carries the slice and its grid.
     """
-    cmap = solution.cmap
-    boundary_zc = cmap.boundary_z * (1.0 + solution.f_samples)
-    boundary_w = solution.b_samples
-    zeta = interior_grid(16, cmap.n)
-    # keep the resolution of the stored map so the disc matches r sigma(zeta)
-    n_coeffs = len(cmap.coeffs)
-    z_values = extend_in_disc(boundary_zc, zeta, n_coeffs)
-    w_values = extend_in_disc(boundary_w, zeta, n_coeffs)
-
-    data = solution.curve.data
+    boundary_zc = solution.cmap.boundary_z * (1.0 + solution.f_samples)
+    data = solution.cmap.curve.data
     direct = data.eval_qp(boundary_zc).real + 1j * data.eval_k(boundary_zc).real
-    boundary_residual = float(np.max(np.abs(boundary_w - direct)))
-    z_center = complex(np.mean(boundary_zc))
     return AttachedDisc(
-        zeta=zeta,
-        z_values=z_values,
-        w_values=w_values,
-        boundary_residual=boundary_residual,
-        center_offset=abs(z_center),
+        boundary_residual=float(np.max(np.abs(solution.b_samples - direct))),
+        center_offset=abs(complex(np.mean(boundary_zc))),
         solution=solution,
     )
 
@@ -328,7 +320,7 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
                 entry["slope_dr_u"] = fit_loglog_slope(rs, dr_norms)
             report.rate_fits.append(entry)
         # nested slice curves
-        rhos = [sol.curve.rho for sol in sols]
+        rhos = [sol.cmap.curve.rho for sol in sols]
         for lo, hi in zip(rhos, rhos[1:]):
             if not np.all(lo < hi):
                 report.nested_curves = False

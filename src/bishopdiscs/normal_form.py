@@ -27,7 +27,7 @@ import numpy as np
 from .curve import SliceData
 from .errors import (
     EllipticityViolation, NoConvergence, SchemaViolation,
-    SingularNormalizationMatrix,
+    SingularNormalizationMatrix, ValidityEscape,
 )
 from .series import (
     BidegreeSeries, ComplexParam, ParamPoly, compose_w, eval_matrix,
@@ -149,8 +149,11 @@ class ManifoldSpec:
         return self.p.max_degree
 
     def slice_at(self, x):
-        """Parameter-free slice data; pointwise table wins over the fits."""
+        """Slice data at x in the validity ball; pointwise table wins over the fits."""
         key = tuple(float(v) for v in np.atleast_1d(x))
+        if np.linalg.norm(key) > self.validity_radius + 1e-12:
+            raise ValidityEscape(
+                f"parameter point {key} outside the validity ball {self.validity_radius}")
         if key in self.samples:
             lam_val, qp, kmat = self.samples[key]
             return SliceData.from_matrices(lam_val, qp, kmat)
@@ -251,19 +254,18 @@ class CoordinateChange:
 # operations
 # --------------------------------------------------------------------------
 
-def detect_cr_singularity(raw, x):
-    """True when the zbar-linear coefficient vanishes at this sample."""
-    mat = raw.slice_matrix(x) if hasattr(raw, "slice_matrix") else raw
+def detect_cr_singularity(mat):
+    """True when the zbar-linear coefficient of the slice matrix vanishes."""
     return bool(abs(mat[0, 1]) < 1e-12)
 
 
-def recenter_cr_singularity(raw, x):
-    """Translation z0 making the zbar-derivative of the graph vanish at 0.
+def recenter_cr_singularity(mat, x):
+    """Translation z0 making the zbar-derivative of the slice matrix mat
+    (the graph at parameter point x, which labels errors) vanish at 0.
 
     Damped Newton on the two-real-variable system Re/Im dF/dzbar = 0 with
     the analytic Jacobian from the second derivatives.
     """
-    mat = raw.slice_matrix(x) if hasattr(raw, "slice_matrix") else raw
     g_mat = matrix_derivative_zbar(mat)
     gz_mat = matrix_derivative_z(g_mat)
     gzb_mat = matrix_derivative_zbar(g_mat)

@@ -39,17 +39,10 @@ Z_ESCAPE = 0.5         # admissible |z| for series evaluation
 class SliceOperators:
     """Boundary coefficient data of the linearized level functional."""
 
-    c_samples: np.ndarray      # real factorization coefficient
-    a_samples: np.ndarray      # |C|
-    arg_c: np.ndarray          # branch-continuous argument of C
     c_star: np.ndarray         # e^{-H[arg C]} / |C|, real positive
     d_samples: np.ndarray      # C* C, holomorphic boundary values
     d_energy: float            # anti-holomorphic energy fraction of D
-    c_complex: np.ndarray      # full derivative coefficient (2/r^2)(q+P)_z z
-
-    @property
-    def n(self):
-        return len(self.c_samples)
+    c_complex: np.ndarray      # (2/r^2)(q+P)_z z, whose real part is C
 
 
 def linearized_level(ops, f):
@@ -58,7 +51,7 @@ def linearized_level(ops, f):
 
 
 def build_slice_operators(curve, cmap):
-    """Assemble C, |C|, arg C, C* and D on the conformal boundary grid."""
+    """Assemble C = Re c_complex, C* and D on the conformal boundary grid."""
     data = curve.data
     r = curve.r
     zb = cmap.boundary_z
@@ -73,11 +66,9 @@ def build_slice_operators(curve, cmap):
     if w != 0:
         raise NonzeroWinding(f"argument of C winds {w} times around 0")
     arg_c = np.unwrap(np.angle(c.astype(complex)))
-    a = np.abs(c)
-    c_star = np.exp(-fourier.conjugate_samples(arg_c)) / a
+    c_star = np.exp(-fourier.conjugate_samples(arg_c)) / np.abs(c)
     d = c_star * c.astype(complex)
-    d_energy = fourier.negative_energy_fraction(d)
-    return SliceOperators(c, a, arg_c, c_star, d, d_energy, c_complex)
+    return SliceOperators(c_star, d, fourier.negative_energy_fraction(d), c_complex)
 
 
 def omega(f, curve, boundary_z):
@@ -130,14 +121,12 @@ class DiscSolution:
     """Solved boundary data of one attached disc."""
 
     u_samples: np.ndarray
-    phi_samples: np.ndarray
     f_samples: np.ndarray
     b_samples: np.ndarray      # height component on the boundary
     iterations: int
     residual: float            # fixed-point verification sup norm
     norm_u: float
-    curve: object
-    cmap: object
+    cmap: object               # carries the traced curve as cmap.curve
     ops: SliceOperators
     step_norms: list = field(default_factory=list, repr=False)
     contraction_ok: bool = True
@@ -145,8 +134,8 @@ class DiscSolution:
 
 
 def solve_slice(spec, slice_params, config=DEFAULT_CONFIG):
-    """Trace, map and solve one slice end to end."""
-    curve = trace_level_curve(spec, slice_params, config)
+    """Slice the manifold, then trace, map and solve one slice end to end."""
+    curve = trace_level_curve(spec.slice_at(slice_params.x), slice_params, config)
     cmap = riemann_map(curve)
     ops = build_slice_operators(curve, cmap)
     return solve_u(curve, cmap, ops, config)
@@ -160,7 +149,6 @@ def step_tolerance(r, config):
 def solve_u(curve, cmap, ops, config=DEFAULT_CONFIG):
     """Damped Picard iteration for the real boundary unknown U."""
     r = curve.r
-    n = cmap.n
     zb = cmap.boundary_z
     kmat = curve.data.k
     tol_eff = step_tolerance(r, config)
@@ -169,18 +157,14 @@ def solve_u(curve, cmap, ops, config=DEFAULT_CONFIG):
         f = (u + 1j * fourier.conjugate_samples(u)) / ops.d_samples
         omdev = omega_deviation(f, curve, zb)
         kvals = eval_matrix(kmat, zb * (1.0 + f)).real
-        omega1 = omdev - np.real(ops.c_samples * f)
+        omega1 = omdev - np.real(ops.c_complex.real * f)
         return -ops.c_star * (omega1 + fourier.conjugate_samples(kvals) / r ** 2), f, omdev, kvals
 
-    u = np.zeros(n)
+    u = np.zeros(cmap.n)
     damping = 1.0
     halvings = 0
     step_norms = []
     prev_step = np.inf
-    best_step = np.inf
-    stall = 0
-    converged = False
-    iterations = 0
     for iterations in range(1, SOLVE_MAX_ITER + 1):
         target, f, omdev, kvals = rhs(u)
         step = target - u
@@ -191,16 +175,9 @@ def solve_u(curve, cmap, ops, config=DEFAULT_CONFIG):
             halvings += 1
         u = u + damping * step
         if step_norm < tol_eff:
-            converged = True
-            break
-        # noise-floor detection: no real progress against the best step seen
-        stall = stall + 1 if step_norm > 0.9 * best_step else 0
-        best_step = min(best_step, step_norm)
-        if stall >= 8:
-            converged = True
             break
         prev_step = step_norm
-    if not converged:
+    else:
         raise NoConvergence(
             f"boundary iteration not converged after {iterations} steps; "
             f"last step {step_norms[-1]:.3e} (reduce r or the tail size)")
@@ -208,7 +185,6 @@ def solve_u(curve, cmap, ops, config=DEFAULT_CONFIG):
     target, f, omdev, kvals = rhs(u)
     residual = float(np.max(np.abs(u - target)))
     b = r ** 2 * (1.0 + omdev) + 1j * kvals
-    phi = np.real(f)
     center = complex(np.mean(b))
     # two-step geometric-mean ratios: consecutive ratios oscillate in pairs
     # when the iteration matrix carries a complex eigenvalue pair
@@ -217,13 +193,11 @@ def solve_u(curve, cmap, ops, config=DEFAULT_CONFIG):
     contraction_ok = all(rho < 0.5 for rho in ratios[-6:]) if ratios else True
     return DiscSolution(
         u_samples=u,
-        phi_samples=phi,
         f_samples=f,
         b_samples=b,
         iterations=iterations,
         residual=residual,
         norm_u=fourier.sup_norm(u),
-        curve=curve,
         cmap=cmap,
         ops=ops,
         step_norms=step_norms,

@@ -12,7 +12,7 @@ from bishopdiscs import fourier
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
-from bishopdiscs.discs import build_disc, radial_derivative_of_u, sweep
+from bishopdiscs.discs import build_disc, interior_grid, radial_derivative_of_u, sweep
 from bishopdiscs.hilbert import origin_imaginary_residual
 from bishopdiscs.normal_form import normalize_full, recenter_cr_singularity
 from bishopdiscs.solver import build_slice_operators, solve_slice, solve_u
@@ -44,7 +44,7 @@ def test_criterion_1_quadric_trivialization():
             spec = make_spec(lam=lam, cubic=0.0, k7=0.0, radius=0.3)
             for r in (0.05, 0.1):
                 sp = SliceParams(X0, r)
-                curve = trace_level_curve(spec, sp)
+                curve = trace_level_curve(spec.slice_at(sp.x), sp)
                 cmap = riemann_map(curve)
                 ops = build_slice_operators(curve, cmap)
                 sol = solve_u(curve, cmap, ops)
@@ -52,10 +52,12 @@ def test_criterion_1_quadric_trivialization():
                 worst_u = max(worst_u, sol.norm_u)
                 worst_d = max(worst_d, float(np.max(np.abs(ops.d_samples - 1.0))))
                 worst_res = max(worst_res, disc.boundary_residual)
-                model = r * cmap.sigma(disc.zeta)
+                zeta = interior_grid(16, cmap.n)
+                z_values, w_values = disc.values(zeta)
+                model = r * cmap.sigma(zeta)
                 worst_disc = max(worst_disc, float(np.max(np.abs(
-                    disc.z_values - model))),
-                    float(np.max(np.abs(disc.w_values - sp.u))))
+                    z_values - model))),
+                    float(np.max(np.abs(w_values - sp.u))))
         assert worst_u < 1e-10, f"norm_u = {worst_u:.3e}"
         assert worst_d < 1e-10, f"|D - 1| = {worst_d:.3e}"
         assert worst_res < 1e-10, f"boundary residual = {worst_res:.3e}"
@@ -121,7 +123,8 @@ def test_criterion_5_normal_form():
         # closed-form recentering for the purely linear offset
         lam = 0.25
         x2 = 0.08
-        z0 = recenter_cr_singularity(offset_raw(lam), (x2, 0.0))
+        x = (x2, 0.0)
+        z0 = recenter_cr_singularity(offset_raw(lam).slice_matrix(x), x)
         assert abs(z0 - (-x2 / (1 + 2 * lam))) < 1e-12
         # full pipeline on the bundled-style raw example
         raw = full_raw_example()

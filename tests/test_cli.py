@@ -177,3 +177,31 @@ def test_x_grid_parsing():
     assert pts == [(0.1, 0.2), (0.3, 0.4)]
     with pytest.raises(ValueError):
         parse_x_grid("0.1;0.2,0.3,0.4", 2)
+
+
+@pytest.mark.parametrize("command", ["curve", "disc", "verify", "sweep"])
+def test_raw_spec_needs_normalize_first(tmp_path, capsys, command):
+    code = main([command, "--spec", "builtin:raw_example", "--out", str(tmp_path / "r"),
+                 "--r-list", "0.05"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {command} needs a normal-form manifold" in err
+    assert "run normalize first" in err
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("disc", "builtin:perturbed"), ("verify", "builtin:perturbed"),
+    ("sweep", "builtin:perturbed"), ("normalize", "builtin:raw_example")])
+def test_figures_belong_to_curve(tmp_path, capsys, command, spec):
+    code = main([command, "--spec", spec, "--out", str(tmp_path / "f"),
+                 "--r-list", "0.05", "--figures"])
+    assert code == 2
+    assert "'curve --figures'" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+def test_parameter_point_outside_validity_ball(tmp_path, capsys):
+    code = main(["curve", "--spec", "builtin:perturbed", "--out", str(tmp_path / "b"),
+                 "--r-list", "0.05", "--x-grid", "0.3,0.0"])
+    assert code == 2
+    assert "outside the validity ball 0.2" in capsys.readouterr().err

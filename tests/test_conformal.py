@@ -179,8 +179,10 @@ def test_under_resolved_map_names_the_grid_fix():
     spec = make_spec(lam=0.35, cubic=0.1, k7=0.05)
     coarse, fine = PipelineConfig(ntheta=256), PipelineConfig(ntheta=512)
     with pytest.raises(NoConvergence, match="under-resolves.*ntheta = 512"):
-        riemann_map(trace_level_curve(spec, SliceParams(X0, 0.1), config=coarse))
-    cmap = riemann_map(trace_level_curve(spec, SliceParams(X0, 0.1), config=fine))
+        riemann_map(trace_level_curve(spec.slice_at(X0), SliceParams(X0, 0.1),
+                                      config=coarse))
+    cmap = riemann_map(trace_level_curve(spec.slice_at(X0), SliceParams(X0, 0.1),
+                                         config=fine))
     assert cmap.deriv_at_zero > 0
 
 

@@ -8,7 +8,7 @@ from bishopdiscs import fourier
 from bishopdiscs.curve import SliceParams
 from bishopdiscs.discs import (
     build_disc, cauchy_extend, derivative_bound_probe, extend_in_disc,
-    fit_loglog_slope, jacobian_defect, sweep,
+    fit_loglog_slope, interior_grid, jacobian_defect, sweep,
 )
 from bishopdiscs.errors import StencilOutOfRange, TargetTooCloseToBoundary
 from bishopdiscs.solver import solve_slice
@@ -80,9 +80,11 @@ def test_quadric_disc_is_model_disc():
     sp = SliceParams(X0, 0.1)
     sol = solve_slice(spec, sp)
     disc = build_disc(spec, sp, sol)
-    model = sp.r * sol.cmap.sigma(disc.zeta)
-    assert np.max(np.abs(disc.z_values - model)) < 1e-10
-    assert np.max(np.abs(disc.w_values - sp.u)) < 1e-10
+    zeta = interior_grid(16, sol.cmap.n)
+    z_values, w_values = disc.values(zeta)
+    model = sp.r * sol.cmap.sigma(zeta)
+    assert np.max(np.abs(z_values - model)) < 1e-10
+    assert np.max(np.abs(w_values - sp.u)) < 1e-10
     assert disc.boundary_residual < 1e-10
     assert disc.center_offset < 1e-10
 

@@ -61,31 +61,32 @@ def offset_raw(lam=0.25):
 
 def test_detect_plain_quadric():
     raw = plain_quadric_raw()
-    assert detect_cr_singularity(raw, (0.0, 0.0))
-    assert detect_cr_singularity(raw, (0.1, -0.05))
+    assert detect_cr_singularity(raw.slice_matrix((0.0, 0.0)))
+    assert detect_cr_singularity(raw.slice_matrix((0.1, -0.05)))
 
 
 def test_detect_offset_series():
     raw = offset_raw()
-    assert not detect_cr_singularity(raw, (0.1, 0.0))
-    assert detect_cr_singularity(raw, (0.0, 0.0))
+    assert not detect_cr_singularity(raw.slice_matrix((0.1, 0.0)))
+    assert detect_cr_singularity(raw.slice_matrix((0.0, 0.0)))
 
 
 def test_recenter_trivial_when_centered():
-    assert recenter_cr_singularity(plain_quadric_raw(), (0.1, 0.0)) == 0.0
+    x = (0.1, 0.0)
+    assert recenter_cr_singularity(plain_quadric_raw().slice_matrix(x), x) == 0.0
 
 
 def test_recenter_closed_form_lambda_zero():
-    raw = offset_raw(lam=0.0)
-    z0 = recenter_cr_singularity(raw, (0.1, 0.0))
+    x = (0.1, 0.0)
+    z0 = recenter_cr_singularity(offset_raw(lam=0.0).slice_matrix(x), x)
     assert abs(z0 - (-0.1)) < 1e-12
 
 
 def test_recenter_closed_form_lambda_quarter():
     # dF/dzbar = x2 + z + 2 lam zbar = 0 with everything real: z0 = -x2/(1+2lam)
-    raw = offset_raw(lam=0.25)
     x2 = 0.08
-    z0 = recenter_cr_singularity(raw, (x2, 0.0))
+    x = (x2, 0.0)
+    z0 = recenter_cr_singularity(offset_raw(lam=0.25).slice_matrix(x), x)
     assert abs(z0 - (-x2 / 1.5)) < 1e-12
     # independent 2x2 real linear-system oracle for z + 2 lam zbar = -x2
     jac = np.array([[1.0 + 0.5, 0.0], [0.0, 1.0 - 0.5]])
@@ -96,9 +97,9 @@ def test_recenter_closed_form_lambda_quarter():
 def test_detect_after_recenter():
     raw = offset_raw(lam=0.25)
     x = (0.1, 0.0)
-    z0 = recenter_cr_singularity(raw, x)
+    z0 = recenter_cr_singularity(raw.slice_matrix(x), x)
     shifted = translate_matrix(raw.slice_matrix(x), z0)
-    assert detect_cr_singularity(shifted, x)
+    assert detect_cr_singularity(shifted)
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +278,7 @@ def test_pipeline_preserves_cr_detection(normalized_example):
     raw, spec, change = normalized_example
     for x in sorted(spec.samples):
         _, qp, kmat = spec.samples[x]
-        assert detect_cr_singularity(qp + 1j * kmat, x)
+        assert detect_cr_singularity(qp + 1j * kmat)
 
 
 def test_lambda_continuity(normalized_example):

@@ -30,11 +30,12 @@ def pipeline(data, r):
 
 @pytest.mark.parametrize("lam", [0.0, 0.2, 0.3, 0.45])
 def test_quadric_operators(lam):
-    # Re{(q)_z z} = q = r^2 on the curve, so C = 2, A = 2, C* = 1/2, D = 1
+    # Re{(q)_z z} = q = r^2 on the curve, so C = 2, |C| = 2, C* = 1/2, D = 1
     curve, cmap, ops = pipeline(quadric_slice(lam), 0.1)
-    assert np.max(np.abs(ops.c_samples - 2.0)) < 1e-10
-    assert np.max(np.abs(ops.a_samples - 2.0)) < 1e-10
-    assert np.max(np.abs(ops.arg_c)) == 0.0
+    c = ops.c_complex.real
+    assert np.max(np.abs(c - 2.0)) < 1e-10
+    assert np.max(np.abs(np.abs(c) - 2.0)) < 1e-10
+    assert np.min(c) > 0.0             # arg C = 0 on the whole curve
     assert np.max(np.abs(ops.c_star - 0.5)) < 1e-10
     assert np.max(np.abs(ops.d_samples - 1.0)) < 1e-10
 
@@ -150,14 +151,14 @@ def test_l7_decay_rate(rate_family):
 
 def test_fixed_point_verification(rate_family):
     for sol in rate_family.values():
-        assert sol.residual < 1e-12 * sol.curve.r ** 2 + 1e-15
+        assert sol.residual < 1e-12 * sol.cmap.r ** 2 + 1e-15
 
 
 def test_attachment_tautology(rate_family):
     sol = rate_family[0.1]
     pts = sol.cmap.boundary_z * (1.0 + sol.f_samples)
-    qp_direct = sol.curve.data.eval_qp(pts).real
-    k_direct = sol.curve.data.eval_k(pts).real
+    qp_direct = sol.cmap.curve.data.eval_qp(pts).real
+    k_direct = sol.cmap.curve.data.eval_k(pts).real
     assert np.max(np.abs(sol.b_samples.real - qp_direct)) < 1e-12
     assert np.max(np.abs(sol.b_samples.imag - k_direct)) < 1e-12
 
@@ -172,7 +173,7 @@ def test_holomorphic_consistency(rate_family):
 
 def test_center_height_normalization(rate_family):
     for sol in rate_family.values():
-        assert sol.center_height_residual < 1e-8 * sol.curve.r ** 2
+        assert sol.center_height_residual < 1e-8 * sol.cmap.r ** 2
 
 
 def test_contraction_evidence(rate_family):
@@ -182,6 +183,7 @@ def test_contraction_evidence(rate_family):
 
 def test_phi_decomposition(rate_family):
     sol = rate_family[0.08 if 0.08 in rate_family else 0.1]
-    recon = sol.phi_samples + 1j * fourier.conjugate_samples(sol.phi_samples)
+    phi = sol.f_samples.real
+    recon = phi + 1j * fourier.conjugate_samples(phi)
     scale = np.max(np.abs(sol.f_samples))
     assert np.max(np.abs(recon - sol.f_samples)) < 1e-10 * scale + 1e-15

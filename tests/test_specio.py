@@ -5,7 +5,9 @@ import json
 import pytest
 
 from bishopdiscs import specio
-from bishopdiscs.errors import EllipticityViolation, SchemaViolation, SpecParseError
+from bishopdiscs.errors import (
+    EllipticityViolation, SchemaViolation, SpecParseError, ValidityEscape,
+)
 from bishopdiscs.normal_form import ManifoldSpec, RawDefiningSeries
 from conftest import make_spec
 
@@ -93,6 +95,14 @@ def test_raw_spec_loads():
     assert isinstance(spec, RawDefiningSeries)
     assert spec.n == 2
     assert spec.validity_radius == 0.15
+
+
+def test_slice_outside_validity_ball_rejected():
+    spec = specio.load(specio.resolve_spec_path("builtin:perturbed"))
+    assert spec.validity_radius == 0.2
+    spec.slice_at((0.2, 0.0))           # on the sphere: still inside
+    with pytest.raises(ValidityEscape, match=r"\(0\.3, 0\.0\) outside the validity ball 0\.2"):
+        spec.slice_at((0.3, 0.0))
 
 
 def test_out_of_range_bidegrees_rejected():
