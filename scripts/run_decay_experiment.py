@@ -35,7 +35,7 @@ def main():
     norms, dr_norms = [], []
     for r in r_list:
         sol = solve_slice(spec, SliceParams(x0, r), config)
-        du = radial_derivative_of_u(spec, SliceParams(x0, r), config)
+        du = radial_derivative_of_u(spec, sol, config)
         norms.append(sol.norm_u)
         dr_norms.append(fourier.sup_norm(du))
         rows.append([r, sol.norm_u, dr_norms[-1], sol.iterations])

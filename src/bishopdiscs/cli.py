@@ -43,12 +43,12 @@ class RunConfig:
     def validate(self):
         if self.ntheta < 64 or self.ntheta & (self.ntheta - 1):
             raise ValueError(f"ntheta must be a power of two >= 64, got {self.ntheta}")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if any(b <= a for a, b in zip(self.r_list, self.r_list[1:])) or not self.r_list:
             raise ValueError("r-list must be nonempty and strictly increasing")
-        if any(r <= 0 for r in self.r_list):
-            raise ValueError("radii must be positive")
+        if not all(0.0 < r < np.inf for r in self.r_list):
+            raise ValueError("radii must be positive and finite")
         if self.figures and self.command != "curve":
             raise ValueError(f"--figures is not an option of {self.command}; "
                              "the figures are drawn by 'curve --figures'")
@@ -74,6 +74,13 @@ class RunConfig:
 X_GRID_FORMS = "'0', 'a:b:n' (per-axis tensor grid) or 'x,y;x,y;...' tuples"
 
 
+def _coordinate(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"grid coordinate {text.strip()!r} is not finite")
+    return value
+
+
 def parse_x_grid(descriptor, nvars):
     """Parameter points of an --x-grid descriptor in one of X_GRID_FORMS."""
     if nvars == 0:
@@ -86,7 +93,7 @@ def parse_x_grid(descriptor, nvars):
             fields = descriptor.split(":")
             if len(fields) != 3:
                 raise ValueError(f"a tensor grid has 3 fields, got {len(fields)}")
-            lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
+            lo, hi, count = _coordinate(fields[0]), _coordinate(fields[1]), int(fields[2])
             if count < 1:
                 raise ValueError(f"grid count must be at least 1, got {count}")
             axis = np.linspace(lo, hi, count)
@@ -94,7 +101,7 @@ def parse_x_grid(descriptor, nvars):
             return [tuple(row) for row in np.stack([g.ravel() for g in grids], axis=1)]
         points = []
         for chunk in descriptor.split(";"):
-            vals = tuple(float(v) for v in chunk.split(","))
+            vals = tuple(_coordinate(v) for v in chunk.split(","))
             if len(vals) != nvars:
                 raise ValueError(
                     f"grid point {chunk!r} has {len(vals)} of {nvars} coordinates")

@@ -132,65 +132,62 @@ def fit_loglog_slope(values_x, values_y):
     return float(np.polyfit(np.log(values_x), np.log(values_y), 1)[0])
 
 
-def radial_derivative_of_u(spec, slice_params, config=DEFAULT_CONFIG):
-    """Central finite difference of the boundary unknown in the radius."""
+def _radius_stencil(spec, solution, config):
+    """Step h = r / FD_R_FACTOR of the radius differences and the slices
+    solved at r - h and r + h next to the solved one."""
+    slice_params = solution.cmap.curve.slice
     r = slice_params.r
     h = r / FD_R_FACTOR
     if not (0.0 < r - h and r + h <= R_MAX):
         raise StencilOutOfRange(f"radius stencil [{r - h}, {r + h}] leaves (0, r_max]; reduce r")
     lo = solve_slice(spec, SliceParams(slice_params.x, r - h), config)
     hi = solve_slice(spec, SliceParams(slice_params.x, r + h), config)
+    return h, lo, hi
+
+
+def radial_derivative_of_u(spec, solution, config=DEFAULT_CONFIG):
+    """Central finite difference of the boundary unknown in the radius."""
+    h, lo, hi = _radius_stencil(spec, solution, config)
     return (hi.u_samples - lo.u_samples) / (2.0 * h)
 
 
-def derivative_bound_probe(spec, slice_params, j, s, config=DEFAULT_CONFIG,
-                           solution=None):
+def derivative_bound_probe(spec, solution, j, s, config=DEFAULT_CONFIG):
     """Sup norm of the theta/radius derivatives of the disc correction F."""
-    l = spec.l
-    if j + 2 * s > l - 4:
+    if j + 2 * s > spec.l - 4:
         raise ValueError(f"probe order (j={j}, s={s}) outside j + 2s <= l - 4")
-    r = slice_params.r
-    h = r / FD_R_FACTOR
-    if s > 0 and not (0.0 < r - s * h and r + s * h <= R_MAX):
-        raise StencilOutOfRange("radius stencil leaves (0, r_max]; reduce r")
-
-    def f_of(rr):
-        sol = solve_slice(spec, SliceParams(slice_params.x, rr), config)
-        return sol.f_samples
-
-    if s == 0:
-        f = (solution.f_samples if solution is not None
-             else f_of(r))
-    elif s == 1:
-        f = (f_of(r + h) - f_of(r - h)) / (2.0 * h)
-    elif s == 2:
-        f = (f_of(r + h) - 2.0 * f_of(r) + f_of(r - h)) / h ** 2
-    else:
+    if s > 2:
         raise ValueError("radial derivative order above 2 is not implemented")
+    f = solution.f_samples
+    if s > 0:
+        h, lo, hi = _radius_stencil(spec, solution, config)
+        if s == 1:
+            f = (hi.f_samples - lo.f_samples) / (2.0 * h)
+        else:
+            f = (hi.f_samples - 2.0 * f + lo.f_samples) / h ** 2
     if j > 0:
         f = fourier.derivative(f, j)
     return fourier.sup_norm(f)
 
 
-def jacobian_defect(spec, slice_params, config=DEFAULT_CONFIG, base_solution=None):
+def jacobian_defect(spec, solution, config=DEFAULT_CONFIG):
     """Max deviation of the slice-map derivative at the origin from the
     flat inclusion (z, X, u) -> (z, X, u + 0 i), by central differences."""
+    slice_params = solution.cmap.curve.slice
     x = np.asarray(slice_params.x, dtype=float)
     r = slice_params.r
     u = slice_params.u
-    sol = base_solution or solve_slice(spec, slice_params, config)
 
-    def center_values(solution, z_targets):
-        cmap = solution.cmap
-        zc = cmap.boundary_z * (1.0 + solution.f_samples)
+    def center_values(sol, z_targets):
+        cmap = sol.cmap
+        zc = cmap.boundary_z * (1.0 + sol.f_samples)
         z_ext = cauchy_extend(cmap, zc, z_targets)
-        w_ext = cauchy_extend(cmap, solution.b_samples, z_targets)
+        w_ext = cauchy_extend(cmap, sol.b_samples, z_targets)
         return z_ext, w_ext
 
     defects = []
     # z block: expect dZ/dz = 1, dW/dz = 0 (Wirtinger via x/y differences)
     h = r / FD_R_FACTOR
-    z_ext, w_ext = center_values(sol, [h, -h, 1j * h, -1j * h])
+    z_ext, w_ext = center_values(solution, [h, -h, 1j * h, -1j * h])
     dz_dx = (z_ext[0] - z_ext[1]) / (2 * h)
     dz_dy = (z_ext[2] - z_ext[3]) / (2 * h)
     dw_dx = (w_ext[0] - w_ext[1]) / (2 * h)
@@ -285,6 +282,8 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
             try:
                 sol = solve_slice(spec, sp, config)
                 disc = build_disc(spec, sp, sol, config)
+                # the whole per-slice battery runs before the slice counts as converged
+                defect = jacobian_defect(spec, sol, config)
                 record.update({
                     "converged": True,
                     "iterations": sol.iterations,
@@ -295,9 +294,8 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
                     "center_height_residual": sol.center_height_residual,
                     "contraction_ok": sol.contraction_ok,
                 })
+                record["jacobian_defect"] = defect
                 discs[(x, r)] = disc
-                record["jacobian_defect"] = jacobian_defect(
-                    spec, sp, config, base_solution=sol)
             except PipelineError as exc:
                 record["error"] = f"{type(exc).__name__}: {exc}"
                 report.failures.append({"x": list(x), "r": r,
@@ -313,10 +311,8 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
             entry = {"x": list(x)}
             if min(norms) > 0.0:
                 entry["slope_norm_u"] = fit_loglog_slope(rs, norms)
-                dr_norms = []
-                for r in rs:
-                    du = radial_derivative_of_u(spec, SliceParams(x, r), config)
-                    dr_norms.append(fourier.sup_norm(du))
+                dr_norms = [fourier.sup_norm(radial_derivative_of_u(spec, sol, config))
+                            for sol in sols]
                 entry["slope_dr_u"] = fit_loglog_slope(rs, dr_norms)
             report.rate_fits.append(entry)
         # nested slice curves

@@ -151,7 +151,7 @@ class ManifoldSpec:
     def slice_at(self, x):
         """Slice data at x in the validity ball; pointwise table wins over the fits."""
         key = tuple(float(v) for v in np.atleast_1d(x))
-        if np.linalg.norm(key) > self.validity_radius + 1e-12:
+        if not np.linalg.norm(key) <= self.validity_radius + 1e-12:
             raise ValidityEscape(
                 f"parameter point {key} outside the validity ball {self.validity_radius}")
         if key in self.samples:

@@ -19,7 +19,7 @@ arithmetic noise floor of the small quantities themselves, not of the O(1)
 level function.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +50,10 @@ def linearized_level(ops, f):
     return np.real(ops.c_complex * np.asarray(f, dtype=complex))
 
 
-def build_slice_operators(curve, cmap):
+def build_slice_operators(cmap):
     """Assemble C = Re c_complex, C* and D on the conformal boundary grid."""
-    data = curve.data
-    r = curve.r
     zb = cmap.boundary_z
-    c_complex = 2.0 / r ** 2 * data.eval_qp_dz(zb) * zb
+    c_complex = 2.0 / cmap.r ** 2 * cmap.curve.data.eval_qp_dz(zb) * zb
     c = np.real(c_complex)
     peak = np.max(np.abs(c))
     if peak == 0.0 or np.min(np.abs(c)) <= 0.1 * peak:
@@ -71,29 +69,29 @@ def build_slice_operators(curve, cmap):
     return SliceOperators(c_star, d, fourier.negative_energy_fraction(d), c_complex)
 
 
-def omega(f, curve, boundary_z):
-    """Level functional (q + P)(z (1 + F)) / r^2 along the boundary points
-    boundary_z (the conformal grid the samples of F live on)."""
+def omega(f, cmap):
+    """Level functional (q + P)(z (1 + F)) / r^2 along the map's boundary
+    points (the conformal grid the samples of F live on)."""
     f = np.asarray(f, dtype=complex)
     if np.max(np.abs(f)) >= F_CAP:
         raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {F_CAP}")
-    pts = boundary_z * (1.0 + f)
+    pts = cmap.boundary_z * (1.0 + f)
     if np.max(np.abs(pts)) > Z_ESCAPE:
         raise ValidityEscape("evaluation point left the series validity region")
-    vals = curve.data.eval_qp(pts)
-    return vals.real / curve.r ** 2
+    vals = cmap.curve.data.eval_qp(pts)
+    return vals.real / cmap.r ** 2
 
 
-def omega_deviation(f, curve, boundary_z):
+def omega_deviation(f, cmap):
     """Cancellation-free Omega(F) - 1, treating the samples as exactly on
     the curve: sum of c[j,k] z^j zbar^k ((1+F)^j (1+conj F)^k - 1) / r^2."""
     f = np.asarray(f, dtype=complex)
     if np.max(np.abs(f)) >= F_CAP:
         raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {F_CAP}")
-    z = boundary_z
+    z = cmap.boundary_z
     if np.max(np.abs(z * (1.0 + np.abs(f)))) > Z_ESCAPE:
         raise ValidityEscape("evaluation point left the series validity region")
-    mat = curve.data.qp
+    mat = cmap.curve.data.qp
     d = mat.shape[0]
     # g[j] = (1+F)^j - 1 via the exact recurrence g[j] = g[j-1] (1+F) + F
     g = [np.zeros_like(f)]
@@ -113,7 +111,7 @@ def omega_deviation(f, curve, boundary_z):
                 continue
             bracket = g[j] * np.conj(g[k] + 1.0) + np.conj(g[k])
             total = total + c * zp[j] * zbp[k] * bracket
-    return total.real / curve.r ** 2
+    return total.real / cmap.r ** 2
 
 
 @dataclass(frozen=True)
@@ -128,17 +126,15 @@ class DiscSolution:
     norm_u: float
     cmap: object               # carries the traced curve as cmap.curve
     ops: SliceOperators
-    step_norms: list = field(default_factory=list, repr=False)
-    contraction_ok: bool = True
-    center_height_residual: float = 0.0
+    step_norms: list
+    contraction_ok: bool
+    center_height_residual: float
 
 
 def solve_slice(spec, slice_params, config=DEFAULT_CONFIG):
     """Slice the manifold, then trace, map and solve one slice end to end."""
     curve = trace_level_curve(spec.slice_at(slice_params.x), slice_params, config)
-    cmap = riemann_map(curve)
-    ops = build_slice_operators(curve, cmap)
-    return solve_u(curve, cmap, ops, config)
+    return solve_u(riemann_map(curve), config)
 
 
 def step_tolerance(r, config):
@@ -146,16 +142,17 @@ def step_tolerance(r, config):
     return max(config.solve_tol * r ** 2, 4e-16)
 
 
-def solve_u(curve, cmap, ops, config=DEFAULT_CONFIG):
+def solve_u(cmap, config=DEFAULT_CONFIG):
     """Damped Picard iteration for the real boundary unknown U."""
-    r = curve.r
+    ops = build_slice_operators(cmap)
+    r = cmap.r
     zb = cmap.boundary_z
-    kmat = curve.data.k
+    kmat = cmap.curve.data.k
     tol_eff = step_tolerance(r, config)
 
     def rhs(u):
         f = (u + 1j * fourier.conjugate_samples(u)) / ops.d_samples
-        omdev = omega_deviation(f, curve, zb)
+        omdev = omega_deviation(f, cmap)
         kvals = eval_matrix(kmat, zb * (1.0 + f)).real
         omega1 = omdev - np.real(ops.c_complex.real * f)
         return -ops.c_star * (omega1 + fourier.conjugate_samples(kvals) / r ** 2), f, omdev, kvals

@@ -12,6 +12,7 @@ pairs; bidegree series as [j, k, re-poly, im-poly] rows.
 """
 
 import json
+import math
 from importlib import resources
 
 from .errors import SchemaViolation, SpecParseError
@@ -59,8 +60,8 @@ def loads(text, source="<string>"):
         raise SchemaViolation(f"ambient dimension N must be >= 1, got {n}")
     l = _require(obj, "l", int)
     radius = float(_require(obj, "validityRadius", (int, float)))
-    if radius <= 0:
-        raise SchemaViolation("validityRadius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise SchemaViolation(f"validityRadius must be positive and finite, got {radius}")
     nvars = 2 * (n - 1)
     max_degree = _degree_field(obj, "maxDegree", 10, 2)
     param_degree = _degree_field(obj, "paramDegree", 2, 0)

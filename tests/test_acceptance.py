@@ -15,7 +15,7 @@ from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
 from bishopdiscs.discs import build_disc, interior_grid, radial_derivative_of_u, sweep
 from bishopdiscs.hilbert import origin_imaginary_residual
 from bishopdiscs.normal_form import normalize_full, recenter_cr_singularity
-from bishopdiscs.solver import build_slice_operators, solve_slice, solve_u
+from bishopdiscs.solver import solve_slice, solve_u
 from conftest import RATE_R_LIST, TIGHT_CONFIG, make_spec
 from test_conformal import elliptic_integral_deriv
 from test_normal_form import full_raw_example, offset_raw
@@ -46,11 +46,10 @@ def test_criterion_1_quadric_trivialization():
                 sp = SliceParams(X0, r)
                 curve = trace_level_curve(spec.slice_at(sp.x), sp)
                 cmap = riemann_map(curve)
-                ops = build_slice_operators(curve, cmap)
-                sol = solve_u(curve, cmap, ops)
+                sol = solve_u(cmap)
                 disc = build_disc(spec, sp, sol)
                 worst_u = max(worst_u, sol.norm_u)
-                worst_d = max(worst_d, float(np.max(np.abs(ops.d_samples - 1.0))))
+                worst_d = max(worst_d, float(np.max(np.abs(sol.ops.d_samples - 1.0))))
                 worst_res = max(worst_res, disc.boundary_residual)
                 zeta = interior_grid(16, cmap.n)
                 z_values, w_values = disc.values(zeta)
@@ -108,7 +107,7 @@ def test_criterion_4_decay_rates():
         for r in RATE_R_LIST:
             sol = solve_slice(spec, SliceParams(X0, r), TIGHT_CONFIG)
             norms.append(sol.norm_u)
-            du = radial_derivative_of_u(spec, SliceParams(X0, r), TIGHT_CONFIG)
+            du = radial_derivative_of_u(spec, sol, TIGHT_CONFIG)
             dr_norms.append(fourier.sup_norm(du))
         slope_u = float(np.polyfit(np.log(RATE_R_LIST), np.log(norms), 1)[0])
         slope_dr = float(np.polyfit(np.log(RATE_R_LIST), np.log(dr_norms), 1)[0])

@@ -150,6 +150,15 @@ def test_invalid_run_config(tmp_path, capsys):
                  "--ntheta", "100"])
     assert code == 2
     assert "power of two" in capsys.readouterr().err
+    # NaN passes every '<= 0' test; each value is rejected before any solve
+    for option, value, message in [("--tol", "nan", "tolerance must be positive and finite"),
+                                   ("--tol", "inf", "tolerance must be positive and finite"),
+                                   ("--r-list", "nan", "radii must be positive and finite"),
+                                   ("--r-list", "0.05,nan", "radii must be positive and finite")]:
+        code = main(["disc", "--spec", "builtin:perturbed", "--out", str(tmp_path / "x"),
+                     option, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [["curve", "--figures"], ["verify"], ["sweep"]])
@@ -160,7 +169,7 @@ def test_empty_tensor_grid_is_rejected(tmp_path, capsys, args):
     assert "error: grid count must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("descriptor", ["0:1", "0:1:2:3", "1,2;"])
+@pytest.mark.parametrize("descriptor", ["0:1", "0:1:2:3", "1,2;", "nan,0", "0:inf:2"])
 def test_malformed_x_grid_names_the_option(tmp_path, capsys, descriptor):
     code = main(["curve", "--spec", "builtin:perturbed", "--out", str(tmp_path / "g"),
                  "--r-list", "0.05", "--x-grid", descriptor])

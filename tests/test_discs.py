@@ -1,10 +1,12 @@
 """Disc assembly and family sweep tests: extension oracles, attachment,
 disjointness, rate fits, and the origin-jacobian probe."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bishopdiscs import fourier
+from bishopdiscs import fourier, specio
 from bishopdiscs.curve import SliceParams
 from bishopdiscs.discs import (
     build_disc, cauchy_extend, derivative_bound_probe, extend_in_disc,
@@ -118,39 +120,42 @@ def test_disc_interior_is_analytic(rate_family):
 
 def test_probe_zero_for_trivial_family():
     spec = make_spec(lam=0.2, k7=0.0)
-    sp = SliceParams(X0, 0.1)
+    sol = solve_slice(spec, SliceParams(X0, 0.1))
     for j, s in [(0, 0), (1, 0), (0, 1)]:
-        assert derivative_bound_probe(spec, sp, j, s) < 1e-12
+        assert derivative_bound_probe(spec, sol, j, s) < 1e-12
+    # l = 8 admits s = 2; its stencil r +- r/20 = [0.1758, 0.1943] lies in (0, r_max]
+    spec = dataclasses.replace(spec, l=8)
+    sol = solve_slice(spec, SliceParams(X0, 0.185))
+    assert derivative_bound_probe(spec, sol, 0, 2) < 1e-12
 
 
 def test_probe_theta_derivative_rate(rate_family):
     spec = make_spec()
-    vals = [derivative_bound_probe(spec, SliceParams(X0, r), 1, 0,
-                                   solution=rate_family[r])
-            for r in RATE_R_LIST]
+    vals = [derivative_bound_probe(spec, rate_family[r], 1, 0) for r in RATE_R_LIST]
     slope = fit_loglog_slope(RATE_R_LIST, vals)
     assert 4.5 <= slope <= 5.5
 
 
-def test_probe_radial_derivative_rate():
+def test_probe_radial_derivative_rate(rate_family):
     spec = make_spec()
-    vals = [derivative_bound_probe(spec, SliceParams(X0, r), 0, 1, TIGHT_CONFIG)
+    vals = [derivative_bound_probe(spec, rate_family[r], 0, 1, TIGHT_CONFIG)
             for r in RATE_R_LIST]
     slope = fit_loglog_slope(RATE_R_LIST, vals)
     assert 3.5 <= slope <= 4.5
 
 
-def test_probe_range_guards():
+def test_probe_range_guards(rate_family):
     spec = make_spec()
     with pytest.raises(ValueError):
-        derivative_bound_probe(spec, SliceParams(X0, 0.1), 2, 1)
+        derivative_bound_probe(spec, rate_family[0.1], 2, 1)
     with pytest.raises(StencilOutOfRange):
-        derivative_bound_probe(spec, SliceParams(X0, 0.2), 0, 1)
+        derivative_bound_probe(spec, solve_slice(spec, SliceParams(X0, 0.2)), 0, 1)
 
 
 def test_jacobian_defect_small_and_shrinking():
     spec = make_spec(cubic=0.1)
-    defects = [jacobian_defect(spec, SliceParams(X0, r), TIGHT_CONFIG)
+    defects = [jacobian_defect(spec, solve_slice(spec, SliceParams(X0, r), TIGHT_CONFIG),
+                               TIGHT_CONFIG)
                for r in (0.1, 0.03)]
     assert defects[1] < defects[0]
     assert defects[1] < 0.05
@@ -158,12 +163,10 @@ def test_jacobian_defect_small_and_shrinking():
 
 def test_jacobian_probe_is_sensitive(rate_family):
     # a synthetic shift of F must show up as a first-component derivative
-    import dataclasses
     spec = make_spec()
     sol = rate_family[0.1]
     shifted = dataclasses.replace(sol, f_samples=sol.f_samples + 1e-4)
-    defect = jacobian_defect(spec, SliceParams(X0, 0.1), TIGHT_CONFIG,
-                             base_solution=shifted)
+    defect = jacobian_defect(spec, shifted, TIGHT_CONFIG)
     assert 0.5e-4 < defect < 2e-4
 
 
@@ -205,6 +208,19 @@ def test_sweep_records_failures_and_continues():
     assert len(report.failures) == 1
     assert "ValidityEscape" in report.failures[0]["error"]
     assert report.converged_count() == 1
+    # on the rim of the validity ball the slices solve, but the X stencil of
+    # the jacobian probe leaves the ball: such a slice has not converged
+    # and enters no family check
+    x_rim = (0.2, 0.0)
+    perturbed = specio.load(specio.resolve_spec_path("builtin:perturbed"))
+    report = sweep(perturbed, [x_rim, X0], [0.05, 0.1])
+    failed = {(tuple(f["x"]), f["r"]) for f in report.failures}
+    assert failed == {(tuple(rec["x"]), rec["r"]) for rec in report.slices
+                      if not rec["converged"]}
+    assert failed == {(x_rim, 0.05), (x_rim, 0.1)}
+    assert all("ValidityEscape" in f["error"] for f in report.failures)
+    assert report.disjointness["pairs"] == 1
+    assert [tuple(e["x"]) for e in report.hilbert_gaps] == [X0]
 
 
 def test_sweep_hilbert_probe_entries():

@@ -18,10 +18,8 @@ X0 = (0.0, 0.0)
 
 
 def pipeline(data, r):
-    curve = trace_level_curve(data, SliceParams(X0, r))
-    cmap = riemann_map(curve)
-    ops = build_slice_operators(curve, cmap)
-    return curve, cmap, ops
+    cmap = riemann_map(trace_level_curve(data, SliceParams(X0, r)))
+    return cmap, build_slice_operators(cmap)
 
 
 # --------------------------------------------------------------------------
@@ -31,7 +29,7 @@ def pipeline(data, r):
 @pytest.mark.parametrize("lam", [0.0, 0.2, 0.3, 0.45])
 def test_quadric_operators(lam):
     # Re{(q)_z z} = q = r^2 on the curve, so C = 2, |C| = 2, C* = 1/2, D = 1
-    curve, cmap, ops = pipeline(quadric_slice(lam), 0.1)
+    cmap, ops = pipeline(quadric_slice(lam), 0.1)
     c = ops.c_complex.real
     assert np.max(np.abs(c - 2.0)) < 1e-10
     assert np.max(np.abs(np.abs(c) - 2.0)) < 1e-10
@@ -41,7 +39,7 @@ def test_quadric_operators(lam):
 
 
 def test_perturbed_operators_holomorphic_d():
-    curve, cmap, ops = pipeline(perturbed_slice(0.25, cubic=0.1), 0.05)
+    cmap, ops = pipeline(perturbed_slice(0.25, cubic=0.1), 0.05)
     assert ops.d_energy < 1e-8
     assert np.min(ops.c_star) > 0.0
 
@@ -51,7 +49,7 @@ def test_c_star_positive_over_random_specs():
     for _ in range(10):
         lam = rng.uniform(0.0, 0.3)
         cubic = rng.uniform(-0.2, 0.2)
-        curve, cmap, ops = pipeline(perturbed_slice(lam, cubic=cubic), 0.05)
+        cmap, ops = pipeline(perturbed_slice(lam, cubic=cubic), 0.05)
         assert np.min(ops.c_star) > 0.0
 
 
@@ -64,7 +62,7 @@ def test_zero_on_curve_detected():
     cmap = riemann_map(curve)
     doctored = dataclasses.replace(curve, data=perturbed_slice(0.0, cubic=7.0))
     with pytest.raises(ZeroOnCurve):
-        build_slice_operators(doctored, cmap)
+        build_slice_operators(dataclasses.replace(cmap, curve=doctored))
 
 
 # --------------------------------------------------------------------------
@@ -72,39 +70,39 @@ def test_zero_on_curve_detected():
 # --------------------------------------------------------------------------
 
 def test_omega_is_one_at_zero():
-    curve, cmap, ops = pipeline(perturbed_slice(0.25, cubic=0.1), 0.05)
-    vals = omega(np.zeros(cmap.n), curve, cmap.boundary_z)
+    cmap, ops = pipeline(perturbed_slice(0.25, cubic=0.1), 0.05)
+    vals = omega(np.zeros(cmap.n), cmap)
     assert np.max(np.abs(vals - 1.0)) < 1e-10
 
 
 def test_omega_quadric_homogeneity():
-    curve, cmap, ops = pipeline(quadric_slice(0.2), 0.1)
+    cmap, ops = pipeline(quadric_slice(0.2), 0.1)
     eps = 1e-3
-    vals = omega(np.full(cmap.n, eps, dtype=complex), curve, cmap.boundary_z)
+    vals = omega(np.full(cmap.n, eps, dtype=complex), cmap)
     assert np.max(np.abs(vals - (1 + eps) ** 2)) < 1e-12
 
 
 def test_omega_quadratic_remainder_scaling():
     # the remainder past the true derivative is quadratic: halving F
     # divides it by four
-    curve, cmap, ops = pipeline(perturbed_slice(0.2, cubic=0.1), 0.05)
+    cmap, ops = pipeline(perturbed_slice(0.2, cubic=0.1), 0.05)
     rng = np.random.default_rng(3)
     base = 1e-3 * (rng.normal(size=cmap.n) + 1j * rng.normal(size=cmap.n))
     rems = []
     for scale in (1.0, 0.5):
         f = scale * base
-        rem = omega_deviation(f, curve, cmap.boundary_z) - linearized_level(ops, f)
+        rem = omega_deviation(f, cmap) - linearized_level(ops, f)
         rems.append(np.max(np.abs(rem)))
     ratio = rems[0] / rems[1]
     assert 3.5 < ratio < 4.5
 
 
 def test_omega_deviation_matches_plain_omega():
-    curve, cmap, ops = pipeline(perturbed_slice(0.2, cubic=0.1), 0.05)
+    cmap, ops = pipeline(perturbed_slice(0.2, cubic=0.1), 0.05)
     rng = np.random.default_rng(4)
     f = 1e-4 * (rng.normal(size=cmap.n) + 1j * rng.normal(size=cmap.n))
-    plain = omega(f, curve, cmap.boundary_z)
-    dev = omega_deviation(f, curve, cmap.boundary_z)
+    plain = omega(f, cmap)
+    dev = omega_deviation(f, cmap)
     assert np.max(np.abs(plain - 1.0 - dev)) < 1e-10
 
 
@@ -114,8 +112,8 @@ def test_omega_deviation_matches_plain_omega():
 
 @pytest.mark.parametrize("lam", [0.0, 0.2, 0.3, 0.45])
 def test_quadric_solution_is_trivial(lam):
-    curve, cmap, ops = pipeline(quadric_slice(lam), 0.1)
-    sol = solve_u(curve, cmap, ops)
+    cmap, _ = pipeline(quadric_slice(lam), 0.1)
+    sol = solve_u(cmap)
     assert sol.norm_u < 1e-10
     assert np.max(np.abs(sol.f_samples)) < 1e-10
     assert np.max(np.abs(sol.b_samples - 0.01)) < 1e-12

@@ -103,6 +103,20 @@ def test_slice_outside_validity_ball_rejected():
     spec.slice_at((0.2, 0.0))           # on the sphere: still inside
     with pytest.raises(ValidityEscape, match=r"\(0\.3, 0\.0\) outside the validity ball 0\.2"):
         spec.slice_at((0.3, 0.0))
+    # NaN fails every comparison, so it must fail the guard too
+    with pytest.raises(ValidityEscape, match="outside the validity ball"):
+        spec.slice_at((float("nan"), 0.0))
+    with pytest.raises(ValidityEscape, match="outside the validity ball nan"):
+        make_spec(radius=float("nan")).slice_at((5.0, 5.0))
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0])
+def test_validity_radius_must_be_positive_and_finite(radius):
+    with open(specio.resolve_spec_path("builtin:perturbed"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["validityRadius"] = radius
+    with pytest.raises(SchemaViolation, match="validityRadius must be positive and finite"):
+        specio.loads(json.dumps(obj))
 
 
 def test_out_of_range_bidegrees_rejected():
