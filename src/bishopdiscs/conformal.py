@@ -11,9 +11,9 @@ point is computed by a damped Newton iteration on the discretized relation
 (Wegmann, J. Comput. Appl. Math. 14, 1986). rho is read off the level set
 itself at the off-grid angles theta(t): each ray is solved by
 curve.radial_root, warm-started from the last accepted rho, and the Newton
-slope d log rho / d theta comes from curve.log_radial_slope. When the shape
-condition eps = max |d log rho / d theta| exceeds the contraction range the
-solve is staged through the homotopy s * log(rho/r), s in (0, 1].
+slope d log rho / d theta comes from curve.log_radial_slope. The same
+solve, started at theta(t) = t, serves every shape condition
+eps = max |d log rho / d theta|.
 
 Resolution caveat: for eccentricities near the elliptic limit (quadratic
 coefficient -> 1/2) the true map develops boundary crowding and its
@@ -32,7 +32,7 @@ from .errors import NoConvergence
 from .curve import BoundaryCurve, log_radial_slope, radial_root
 
 MAP_TOL = 1e-11        # sup norm of the correspondence residual
-MAP_MAX_ITER = 200     # Newton steps over all homotopy stages
+MAP_MAX_ITER = 200     # Newton steps before the solve counts as stalled
 
 
 def _conjugation_matrix(n):
@@ -48,7 +48,6 @@ class ConformalMap:
     curve: BoundaryCurve
     correspondence: np.ndarray   # theta(t) at the circle grid
     coeffs: np.ndarray           # Taylor coefficients of sigma at 0
-    deriv_at_zero: float
     boundary_z: np.ndarray       # r * sigma(e^{it}) at the circle grid
     boundary_dz: np.ndarray      # d/dt of boundary_z
     eps_condition: float         # max |d log rho / d theta| along the solution
@@ -62,6 +61,10 @@ class ConformalMap:
     @property
     def r(self):
         return self.curve.r
+
+    @property
+    def deriv_at_zero(self):
+        return float(self.coeffs[1].real)
 
     def sigma(self, zeta):
         """Taylor evaluation of sigma on the closed unit disc."""
@@ -91,18 +94,29 @@ class ConformalMap:
         return w
 
 
-def _newton_stage(data, r, s, psi, rho, conj_mat, t, budget):
-    """Damped Newton on psi - H[s log(rho(t + psi) / r)] = 0, with rho the
-    level-set radius at t + psi; returns (psi, rho, used, residual)."""
-    def residual(p, rho_p):
-        return p - conj_mat @ (s * np.log(rho_p / r))
+def riemann_map(curve):
+    """Boundary correspondence of the normalized map for a star-shaped curve:
+    damped Newton on psi - H[log(rho(t + psi) / r)] = 0 from psi = 0."""
+    n = len(curve.rho)
+    t = fourier.grid(n)
+    data, r = curve.data, curve.r
+    conj_mat = _conjugation_matrix(n)
 
+    def residual(p, rho_p):
+        return p - conj_mat @ np.log(rho_p / r)
+
+    psi = np.zeros(n)
+    rho = curve.rho
     res = residual(psi, rho)
     res_norm = np.max(np.abs(res))
-    used = 0
-    while used < budget and res_norm >= MAP_TOL:
-        slope = s * log_radial_slope(data, rho, t + psi)
-        jac = np.eye(len(psi)) - conj_mat * slope[None, :]
+    iterations = 0
+    while res_norm >= MAP_TOL:
+        if iterations == MAP_MAX_ITER:
+            raise NoConvergence(
+                f"correspondence iteration stalled at residual {res_norm:.3e}; the grid "
+                f"under-resolves the map, try ntheta = {2 * n}")
+        slope = log_radial_slope(data, rho, t + psi)
+        jac = np.eye(n) - conj_mat * slope[None, :]
         delta = np.linalg.solve(jac, -res)
         alpha = 1.0
         while True:
@@ -116,30 +130,7 @@ def _newton_stage(data, r, s, psi, rho, conj_mat, t, budget):
                 break
             alpha *= 0.5
         psi, rho, res, res_norm = trial, trial_rho, trial_res, trial_norm
-        used += 1
-    return psi, rho, used, res_norm
-
-
-def riemann_map(curve):
-    """Boundary correspondence of the normalized map for a star-shaped curve."""
-    n = len(curve.rho)
-    t = fourier.grid(n)
-    data, r = curve.data, curve.r
-    eps_grid = float(np.max(np.abs(log_radial_slope(data, curve.rho, t))))
-    conj_mat = _conjugation_matrix(n)
-
-    n_stages = max(1, int(np.ceil(eps_grid / 0.85)))
-    psi = np.zeros(n)
-    rho = curve.rho
-    iterations = 0
-    for stage in range(1, n_stages + 1):
-        psi, rho, used, res_norm = _newton_stage(
-            data, r, stage / n_stages, psi, rho, conj_mat, t, MAP_MAX_ITER - iterations)
-        iterations += used
-        if res_norm >= MAP_TOL:
-            raise NoConvergence(
-                f"correspondence iteration stalled at residual {res_norm:.3e} "
-                f"(shape condition eps = {eps_grid:.3f})")
+        iterations += 1
 
     theta = t + psi
     boundary_sigma = (rho / r) * np.exp(1j * theta)
@@ -157,7 +148,6 @@ def riemann_map(curve):
         curve=curve,
         correspondence=theta,
         coeffs=coeffs,
-        deriv_at_zero=float(coeffs[1].real),
         boundary_z=boundary_z,
         boundary_dz=fourier.derivative(boundary_z),
         eps_condition=eps_cond,

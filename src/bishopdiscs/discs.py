@@ -171,7 +171,9 @@ def derivative_bound_probe(spec, solution, j, s, config=DEFAULT_CONFIG):
 
 def jacobian_defect(spec, solution, config=DEFAULT_CONFIG):
     """Max deviation of the slice-map derivative at the origin from the
-    flat inclusion (z, X, u) -> (z, X, u + 0 i), by central differences."""
+    flat inclusion (z, X, u) -> (z, X, u + 0 i), by central differences; in X
+    one-sided against the solved slice on an axis where one of X +- FD_X_STEP
+    leaves the validity ball (where both do, ValidityEscape is raised)."""
     slice_params = solution.cmap.curve.slice
     x = np.asarray(slice_params.x, dtype=float)
     r = slice_params.r
@@ -198,12 +200,15 @@ def jacobian_defect(spec, solution, config=DEFAULT_CONFIG):
     for axis in range(len(x)):
         shift = np.zeros_like(x)
         shift[axis] = hx
-        sol_p = solve_slice(spec, SliceParams(tuple(x + shift), r), config)
-        sol_m = solve_slice(spec, SliceParams(tuple(x - shift), r), config)
-        zp, wp = center_values(sol_p, [0.0])
-        zm, wm = center_values(sol_m, [0.0])
-        defects.append(abs(zp[0] - zm[0]) / (2 * hx))
-        defects.append(abs(wp[0] - wm[0]) / (2 * hx))
+        ends = [x + shift, x - shift]
+        if any(spec.contains(p) for p in ends):   # the end outside is the slice itself
+            ends = [p if spec.contains(p) else x for p in ends]
+        sols = [solution if p is x else solve_slice(spec, SliceParams(tuple(p), r), config)
+                for p in ends]
+        (zp, wp), (zm, wm) = [center_values(sol, [0.0]) for sol in sols]
+        step = hx * sum(p is not x for p in ends)
+        defects.append(abs(zp[0] - zm[0]) / step)
+        defects.append(abs(wp[0] - wm[0]) / step)
     # u direction: expect dZ/du = 0 and dW/du = 1
     hu = u / 10.0
     sol_p = solve_slice(spec, SliceParams(slice_params.x, np.sqrt(u + hu)), config)

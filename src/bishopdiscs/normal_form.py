@@ -148,10 +148,14 @@ class ManifoldSpec:
     def max_degree(self):
         return self.p.max_degree
 
+    def contains(self, x):
+        """Whether x lies in the closed validity ball (a NaN point does not)."""
+        return bool(np.linalg.norm(x) <= self.validity_radius + 1e-12)
+
     def slice_at(self, x):
         """Slice data at x in the validity ball; pointwise table wins over the fits."""
         key = tuple(float(v) for v in np.atleast_1d(x))
-        if not np.linalg.norm(key) <= self.validity_radius + 1e-12:
+        if not self.contains(key):
             raise ValidityEscape(
                 f"parameter point {key} outside the validity ball {self.validity_radius}")
         if key in self.samples:

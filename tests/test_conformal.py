@@ -6,7 +6,7 @@ import pytest
 from math import comb
 from scipy.special import ellipk
 
-from bishopdiscs import fourier
+from bishopdiscs import conformal, fourier
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
@@ -184,6 +184,27 @@ def test_under_resolved_map_names_the_grid_fix():
     cmap = riemann_map(trace_level_curve(spec.slice_at(X0), SliceParams(X0, 0.1),
                                          config=fine))
     assert cmap.deriv_at_zero > 0
+
+
+def test_stalled_map_names_the_grid_fix(monkeypatch):
+    # a Newton budget that runs out reports the same fix as the |sigma(0)| gate
+    monkeypatch.setattr(conformal, "MAP_MAX_ITER", 1)
+    curve = trace_level_curve(quadric_slice(0.3), SliceParams(X0, 0.1),
+                              config=PipelineConfig(ntheta=256))
+    with pytest.raises(NoConvergence, match="under-resolves.*ntheta = 512"):
+        riemann_map(curve)
+
+
+@pytest.mark.parametrize("lam", [0.35, 0.4, 0.45])
+def test_eccentric_map_is_one_newton_solve(lam):
+    # eps > 1 at these slices, yet one damped Newton solve from theta = t
+    # converges in a handful of steps to the ellipse's conformal radius
+    curve = trace_level_curve(quadric_slice(lam), SliceParams(X0, 0.1),
+                              config=PipelineConfig(ntheta=1024))
+    cmap = riemann_map(curve)
+    assert cmap.iterations <= 6
+    if lam < 0.45:
+        assert cmap.deriv_at_zero == pytest.approx(elliptic_integral_deriv(lam), abs=1e-6)
 
 
 def test_map_taylor_length_follows_the_curve_grid():

@@ -209,8 +209,8 @@ def test_sweep_records_failures_and_continues():
     assert "ValidityEscape" in report.failures[0]["error"]
     assert report.converged_count() == 1
     # on the rim of the validity ball the slices solve, but the X stencil of
-    # the jacobian probe leaves the ball: such a slice has not converged
-    # and enters no family check
+    # the jacobian probe leaves the ball on both sides of the second axis:
+    # such a slice has not converged and enters no family check
     x_rim = (0.2, 0.0)
     perturbed = specio.load(specio.resolve_spec_path("builtin:perturbed"))
     report = sweep(perturbed, [x_rim, X0], [0.05, 0.1])
@@ -221,6 +221,18 @@ def test_sweep_records_failures_and_continues():
     assert all("ValidityEscape" in f["error"] for f in report.failures)
     assert report.disjointness["pairs"] == 1
     assert [tuple(e["x"]) for e in report.hilbert_gaps] == [X0]
+
+
+def test_jacobian_probe_is_one_sided_at_the_rim():
+    # X + FD_X_STEP e_0 = (0.2005, 0) leaves the validity ball 0.2 and
+    # X - FD_X_STEP e_0 stays inside: the probe differences one-sidedly
+    perturbed = specio.load(specio.resolve_spec_path("builtin:perturbed"))
+    report = sweep(perturbed, [(0.1995, 0.0)], [0.05, 0.1])
+    assert report.failures == []
+    assert all(rec["converged"] for rec in report.slices)
+    defects = [rec["jacobian_defect"] for rec in report.slices]
+    assert all(np.isfinite(d) and d < 0.05 for d in defects)
+    assert report.disjointness["pairs"] == 1
 
 
 def test_sweep_hilbert_probe_entries():
