@@ -15,6 +15,12 @@ slope d log rho / d theta comes from curve.log_radial_slope. The same
 solve, started at theta(t) = t, serves every shape condition
 eps = max |d log rho / d theta|.
 
+The Newton step is matrix-free: H is applied by FFT
+(fourier.conjugate_samples), and the step equation
+delta - H[slope * delta] = -residual is solved by the module's unrestarted
+GMRES, so no N x N array is formed and a step costs O(k N log N) for k
+Krylov products.
+
 Resolution caveat: for eccentricities near the elliptic limit (quadratic
 coefficient -> 1/2) the true map develops boundary crowding and its
 correspondence is not resolvable on a fixed grid; the discrete solution is
@@ -33,12 +39,54 @@ from .curve import BoundaryCurve, log_radial_slope, radial_root
 
 MAP_TOL = 1e-11        # sup norm of the correspondence residual
 MAP_MAX_ITER = 200     # Newton steps before the solve counts as stalled
+KRYLOV_TOL = 1e-13     # relative 2-norm residual of each Newton step's solve
+KRYLOV_MAX_ITER = 200  # Krylov products per Newton step
 
 
-def _conjugation_matrix(n):
-    eye = np.eye(n)
-    mult = fourier.conjugate_multiplier(n)
-    return np.real(np.fft.ifft(mult[:, None] * np.fft.fft(eye, axis=0), axis=0))
+def gmres(apply, b, rtol, max_iter):
+    """Minimum-residual solution of apply(x) = b from x = 0 (GMRES, no restart).
+
+    apply is any linear map on real vectors shaped like b. The Arnoldi basis
+    is orthogonalised by classical Gram-Schmidt applied twice, vectorised over
+    the basis, and the Hessenberg least-squares problem is kept triangular by
+    Givens rotations. The solve stops once ||b - apply(x)||_2 <= rtol ||b||_2
+    or after max_iter products; either way the minimum-residual iterate is
+    returned. The basis grows one row per product, so memory is O(k N) for
+    the k products taken.
+    """
+    b = np.asarray(b, dtype=float)
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b)
+    basis = b[None, :] / beta
+    cols, rotations = [], []    # rotated Hessenberg columns; Givens (cos, sin)
+    g = [beta]                  # rotated beta * e_1; |g[-1]| is the residual
+    while len(cols) < max_iter and abs(g[-1]) > rtol * beta:
+        w = apply(basis[-1])
+        h = basis @ w
+        w = w - h @ basis
+        again = basis @ w
+        w = w - again @ basis
+        w_norm = float(np.linalg.norm(w))
+        h = (h + again).tolist()
+        for j, (c, s) in enumerate(rotations):
+            h[j], h[j + 1] = c * h[j] + s * h[j + 1], c * h[j + 1] - s * h[j]
+        diag = float(np.hypot(h[-1], w_norm))
+        c, s = h[-1] / diag, w_norm / diag
+        rotations.append((c, s))
+        h[-1] = diag
+        cols.append(h)
+        g.append(-s * g[-1])
+        g[-2] *= c
+        if w_norm == 0.0:       # invariant subspace: the iterate is exact
+            break
+        basis = np.vstack((basis, w / w_norm))
+    k = len(cols)
+    tri = np.zeros((k, k))
+    for j, col in enumerate(cols):
+        tri[:j + 1, j] = col
+    y = np.linalg.solve(tri, g[:k])
+    return y @ basis[:k]
 
 
 @dataclass(frozen=True)
@@ -100,10 +148,9 @@ def riemann_map(curve):
     n = len(curve.rho)
     t = fourier.grid(n)
     data, r = curve.data, curve.r
-    conj_mat = _conjugation_matrix(n)
 
     def residual(p, rho_p):
-        return p - conj_mat @ np.log(rho_p / r)
+        return p - fourier.conjugate_samples(np.log(rho_p / r))
 
     psi = np.zeros(n)
     rho = curve.rho
@@ -116,8 +163,8 @@ def riemann_map(curve):
                 f"correspondence iteration stalled at residual {res_norm:.3e}; the grid "
                 f"under-resolves the map, try ntheta = {2 * n}")
         slope = log_radial_slope(data, rho, t + psi)
-        jac = np.eye(n) - conj_mat * slope[None, :]
-        delta = np.linalg.solve(jac, -res)
+        delta = gmres(lambda v: v - fourier.conjugate_samples(slope * v), -res,
+                      KRYLOV_TOL, KRYLOV_MAX_ITER)
         alpha = 1.0
         while True:
             trial = psi + alpha * delta

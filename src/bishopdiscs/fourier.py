@@ -4,6 +4,8 @@ All routines assume samples f_j = f(2*pi*j/N), N even, and use the
 symmetric trigonometric interpolant (Nyquist bin treated as a cosine).
 """
 
+import functools
+
 import numpy as np
 
 from .errors import GridMismatch, NoConvergence
@@ -21,12 +23,17 @@ def _check_even(samples):
     return n
 
 
+@functools.lru_cache
 def conjugate_multiplier(n):
-    """Fourier multiplier of the circle conjugation: e^{ikt} -> -i sgn(k) e^{ikt}."""
+    """Fourier multiplier of the circle conjugation: e^{ikt} -> -i sgn(k) e^{ikt}.
+
+    Cached per grid size and read-only, since every caller shares it.
+    """
     k = np.fft.fftfreq(n, d=1.0 / n)
     m = -1j * np.sign(k)
     m[0] = 0.0
     m[n // 2] = 0.0  # Nyquist mode has no conjugate on the grid
+    m.flags.writeable = False
     return m
 
 

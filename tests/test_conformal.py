@@ -1,15 +1,17 @@
 """Conformal map tests: closed forms, two independent ellipse oracles,
 holomorphy of the extension, covariance and symmetry checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from math import comb
 from scipy.special import ellipk
 
-from bishopdiscs import conformal, fourier
+from bishopdiscs import conformal, fourier, specio
 from bishopdiscs.config import PipelineConfig
-from bishopdiscs.conformal import riemann_map
-from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
+from bishopdiscs.conformal import gmres, riemann_map
+from bishopdiscs.curve import SliceParams, log_radial_slope, quadric_slice, trace_level_curve
 from bishopdiscs.errors import NoConvergence
 from conftest import make_spec, perturbed_slice
 
@@ -212,3 +214,60 @@ def test_map_taylor_length_follows_the_curve_grid():
     curve = trace_level_curve(quadric_slice(0.25), SliceParams(X0, 0.1),
                               config=PipelineConfig(ntheta=512))
     assert len(riemann_map(curve).coeffs) == 128
+
+
+# --------------------------------------------------------------------------
+# the matrix-free Newton step
+# --------------------------------------------------------------------------
+
+def test_gmres_solves_a_nonsymmetric_system():
+    rng = np.random.default_rng(13)
+    mat = np.eye(60) + 0.3 * rng.standard_normal((60, 60)) / np.sqrt(60)
+    b = rng.standard_normal(60)
+    x = gmres(lambda v: mat @ v, b, 1e-13, 100)
+    assert np.linalg.norm(mat @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_gmres_zero_right_hand_side():
+    x = gmres(lambda v: 2.0 * v, np.zeros(8), 1e-13, 10)
+    assert np.array_equal(x, np.zeros(8))
+
+
+def test_gmres_capped_solve_returns_minimum_residual_iterate():
+    # three products cannot solve this system; the iterate still never
+    # does worse than x = 0
+    rng = np.random.default_rng(14)
+    mat = np.eye(60) + rng.standard_normal((60, 60)) / np.sqrt(60)
+    b = rng.standard_normal(60)
+    x = gmres(lambda v: mat @ v, b, 1e-13, 3)
+    assert np.linalg.norm(mat @ x - b) <= np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("data", [perturbed_slice(0.25), quadric_slice(0.4)],
+                         ids=["perturbed", "quadric"])
+def test_matrix_free_step_equals_dense_step(data):
+    # first Newton step from psi = 0; the dense Jacobian I - H diag(slope)
+    # is built here only, from the conjugation of the identity columns
+    curve = trace_level_curve(data, SliceParams(X0, 0.1), config=PipelineConfig(ntheta=256))
+    n = len(curve.rho)
+    slope = log_radial_slope(data, curve.rho, fourier.grid(n))
+    res = -fourier.conjugate_samples(np.log(curve.rho / curve.r))
+    conj = np.column_stack([fourier.conjugate_samples(e) for e in np.eye(n)])
+    dense = np.linalg.solve(np.eye(n) - conj * slope[None, :], -res)
+    step = gmres(lambda v: v - fourier.conjugate_samples(slope * v), -res,
+                 conformal.KRYLOV_TOL, conformal.KRYLOV_MAX_ITER)
+    assert np.linalg.norm(step - dense) <= 1e-11 * np.linalg.norm(dense)
+
+
+def test_fine_grid_map_forms_no_dense_matrix():
+    # one 2048 x 2048 float array alone is 32 MiB
+    spec = specio.load(specio.resolve_spec_path("builtin:order7"))
+    curve = trace_level_curve(spec.slice_at(X0), SliceParams(X0, 0.1),
+                              config=PipelineConfig(ntheta=2048))
+    tracemalloc.start()
+    try:
+        riemann_map(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
