@@ -103,13 +103,15 @@ def check_radial_monotonicity(data, r):
     """Verify the level function increases along rays out to the ray reach."""
     reach = _ray_reach(data.lam)
     theta = fourier.grid(MONOTONE_THETA)
-    for s in np.linspace(reach / MONOTONE_RHO, reach, MONOTONE_RHO):
-        slope = _radial_slope(data, s * r, theta)
-        if np.any(slope <= 0.0):
-            bad = theta[np.argmin(slope)]
-            raise NotStarShaped(
-                f"radial slope not positive at |z|={s * r:.4g}, theta={bad:.4g}; "
-                "reduce r or the perturbation")
+    radii = np.linspace(reach / MONOTONE_RHO, reach, MONOTONE_RHO) * r
+    slope = _radial_slope(data, radii[:, None], theta)     # one row per radius
+    failing = np.any(slope <= 0.0, axis=1)
+    if np.any(failing):
+        i = int(np.argmax(failing))
+        bad = theta[np.argmin(slope[i])]
+        raise NotStarShaped(
+            f"radial slope not positive at |z|={radii[i]:.4g}, theta={bad:.4g}; "
+            "reduce r or the perturbation")
 
 
 def radial_root(data, theta, r, rho0):

@@ -40,13 +40,14 @@ def conjugate_multiplier(n):
 def conjugate_samples(samples):
     """Conjugate function on the circle; zero mean, kills constants.
 
-    For complex input acts componentwise: H[u + iv] = H[u] + i H[v].
+    Real input takes the half-spectrum (rfft) path; complex input acts
+    componentwise: H[u + iv] = H[u] + i H[v].
     """
     samples = np.asarray(samples)
     n = _check_even(samples)
-    hat = np.fft.fft(samples) * conjugate_multiplier(n)
-    out = np.fft.ifft(hat)
-    return out.real if np.isrealobj(samples) else out
+    if np.isrealobj(samples):
+        return np.fft.irfft(np.fft.rfft(samples) * conjugate_multiplier(n)[:n // 2 + 1], n)
+    return np.fft.ifft(np.fft.fft(samples) * conjugate_multiplier(n))
 
 
 def derivative(samples, order=1):
@@ -101,9 +102,39 @@ def upsample(samples, factor):
 
 
 def sup_norm(samples, factor=8):
-    """Sup norm estimated on an upsampled grid; the estimate still depends
-    on the grid when the maximum falls between nodes."""
-    return float(np.max(np.abs(upsample(samples, factor))))
+    """Sup norm of the trigonometric interpolant.
+
+    The maximum of |f| on a factor-times upsampled grid is refined by Newton
+    steps on the interpolant's critical-point equation: u' = 0 for real
+    samples, Re(conj(f) f') = 0 for complex ones. The upsampled value is
+    kept if Newton leaves the neighbouring upsampled nodes or does not raise
+    the value.
+    """
+    samples = np.asarray(samples)
+    n = _check_even(samples)
+    fine = np.abs(upsample(samples, factor))
+    i = int(np.argmax(fine))
+    spacing = 2.0 * np.pi / len(fine)
+    # modes -n/2 .. n/2 of the interpolant, the Nyquist cosine split in halves
+    c = np.fft.fftshift(np.fft.fft(samples)) / n
+    c = np.append(c, 0.5 * c[0])
+    c[0] *= 0.5
+    k = np.arange(-(n // 2), n // 2 + 1)
+    t = i * spacing
+    for _ in range(4):
+        terms = c * np.exp(1j * k * t)
+        f, f1, f2 = terms.sum(), (1j * k * terms).sum(), -(k * k * terms).sum()
+        if np.isrealobj(samples):
+            g, dg = f1.real, f2.real
+        else:
+            g = np.real(np.conj(f) * f1)
+            dg = abs(f1) ** 2 + np.real(np.conj(f) * f2)
+        if dg == 0.0:
+            break
+        t -= g / dg
+        if abs(t - i * spacing) >= spacing:
+            return float(fine[i])
+    return float(max(fine[i], abs(np.sum(c * np.exp(1j * k * t)))))
 
 
 def negative_energy_fraction(samples):

@@ -193,23 +193,27 @@ class BidegreeSeries:
 
 # -- dense slice-matrix algebra ---------------------------------------------
 
+def powers(z, top):
+    """[1, z, ..., z^top] by repeated multiplication."""
+    out = [np.ones_like(z)]
+    for _ in range(top):
+        out.append(out[-1] * z)
+    return out
+
+
 def eval_matrix(mat, z):
-    """Evaluate sum mat[j,k] z^j zbar^k for a dense coefficient matrix."""
+    """Evaluate sum mat[j,k] z^j zbar^k over the nonzero entries of a
+    coefficient matrix, j ascending then k, with powers only up to the
+    highest row and column present."""
     z = np.asarray(z, dtype=complex)
-    zb = np.conj(z)
-    d = mat.shape[0]
-    zp = [np.ones_like(z)]
-    for _ in range(d - 1):
-        zp.append(zp[-1] * z)
-    zbp = [np.ones_like(z)]
-    for _ in range(d - 1):
-        zbp.append(zbp[-1] * zb)
     total = np.zeros_like(z)
-    for j in range(d):
-        for k in range(d):
-            c = mat[j, k]
-            if c != 0.0:
-                total = total + c * zp[j] * zbp[k]
+    rows, cols = np.nonzero(mat)
+    if not len(rows):
+        return total
+    zp = powers(z, rows.max())
+    zbp = powers(np.conj(z), cols.max())
+    for j, k in zip(rows, cols):
+        total = total + mat[j, k] * zp[j] * zbp[k]
     return total
 
 

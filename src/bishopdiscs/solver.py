@@ -28,7 +28,7 @@ from .config import DEFAULT_CONFIG
 from .conformal import riemann_map
 from .curve import trace_level_curve
 from .errors import NoConvergence, NonzeroWinding, ValidityEscape, ZeroOnCurve
-from .series import eval_matrix
+from .series import eval_matrix, powers
 
 SOLVE_MAX_ITER = 100
 F_CAP = 0.5            # admissible sup |F| along the boundary
@@ -92,25 +92,17 @@ def omega_deviation(f, cmap):
     if np.max(np.abs(z * (1.0 + np.abs(f)))) > Z_ESCAPE:
         raise ValidityEscape("evaluation point left the series validity region")
     mat = cmap.curve.data.qp
-    d = mat.shape[0]
+    rows, cols = np.nonzero(mat)    # j ascending, then k; qp is never zero
     # g[j] = (1+F)^j - 1 via the exact recurrence g[j] = g[j-1] (1+F) + F
     g = [np.zeros_like(f)]
-    for _ in range(d - 1):
+    for _ in range(max(rows.max(), cols.max())):
         g.append(g[-1] * (1.0 + f) + f)
-    zb = np.conj(z)
-    zp = [np.ones_like(z)]
-    zbp = [np.ones_like(z)]
-    for _ in range(d - 1):
-        zp.append(zp[-1] * z)
-        zbp.append(zbp[-1] * zb)
+    zp = powers(z, rows.max())
+    zbp = powers(np.conj(z), cols.max())
     total = np.zeros_like(f)
-    for j in range(d):
-        for k in range(d):
-            c = mat[j, k]
-            if c == 0.0:
-                continue
-            bracket = g[j] * np.conj(g[k] + 1.0) + np.conj(g[k])
-            total = total + c * zp[j] * zbp[k] * bracket
+    for j, k in zip(rows, cols):
+        bracket = g[j] * np.conj(g[k] + 1.0) + np.conj(g[k])
+        total = total + mat[j, k] * zp[j] * zbp[k] * bracket
     return total.real / cmap.r ** 2
 
 

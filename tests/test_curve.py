@@ -65,8 +65,11 @@ def test_radial_root_off_grid():
 def test_star_shapedness_violation_detected():
     # a cubic this large destroys radial monotonicity at r = 0.1
     data = perturbed_slice(0.0, cubic=8.0)
-    with pytest.raises(NotStarShaped):
+    with pytest.raises(NotStarShaped) as failure:
         trace_level_curve(data, SliceParams(X0, 0.1))
+    # the first failing radius and the angle of its smallest slope
+    assert str(failure.value) == ("radial slope not positive at |z|=0.0875, theta=3.142; "
+                                  "reduce r or the perturbation")
 
 
 def test_rho_positive_and_curve_closes():

@@ -48,6 +48,24 @@ def test_linearity():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [4, 256, 2048])
+def test_real_conjugation_matches_the_complex_path(n):
+    x = np.random.default_rng(n).standard_normal(n)
+    complex_path = conjugate_samples(x.astype(complex))
+    real_path = conjugate_samples(x)
+    assert np.isrealobj(real_path)
+    assert np.linalg.norm(real_path - complex_path) <= 1e-15 * np.linalg.norm(complex_path)
+
+
+def test_sup_norm_finds_the_maximum_between_nodes():
+    # both maxima sit off the 8x upsampled grid, where the upsampled value
+    # is about 1e-4 low at n = 16
+    t = fourier.grid(16)
+    assert fourier.sup_norm(np.cos(t - 0.1)) == pytest.approx(1.0, abs=1e-14)
+    f = np.exp(1j * t) * (1.0 + 0.5 * np.cos(3 * t - 0.1))
+    assert fourier.sup_norm(f) == pytest.approx(1.5, abs=1e-14)
+
+
 def test_circle_operator_reduces_to_model():
     curve = trace_level_curve(quadric_slice(0.0), SliceParams(X0, 0.1))
     out = hilbert_on_curve(riemann_map(curve), np.cos(T))

@@ -121,6 +121,32 @@ def test_evaluate_against_horner_oracle():
         assert abs(ours - ref) < 1e-13 * (1.0 + abs(ref))
 
 
+def dense_eval(mat, z):
+    """Every entry of the matrix, j then k, with powers up to its size."""
+    z = np.asarray(z, dtype=complex)
+    d = mat.shape[0]
+    zp, zbp = [np.ones_like(z)], [np.ones_like(z)]
+    for _ in range(d - 1):
+        zp.append(zp[-1] * z)
+        zbp.append(zbp[-1] * np.conj(z))
+    total = np.zeros_like(z)
+    for j in range(d):
+        for k in range(d):
+            if mat[j, k] != 0.0:
+                total = total + mat[j, k] * zp[j] * zbp[k]
+    return total
+
+
+def test_nonzero_term_evaluation_is_bit_identical_to_the_dense_loop():
+    rng = np.random.default_rng(11)
+    z = 0.3 * (rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16)))
+    sparse = M({(0, 3): 0.5, (2, 1): -1j, (4, 0): 0.25 + 0.1j, (4, 5): 2.0})
+    for mat in (quadric_matrix(0.3, 11), matrix_derivative_z(sparse), sparse):
+        assert np.array_equal(eval_matrix(mat, z), dense_eval(mat, z))
+    zero = eval_matrix(np.zeros((11, 11), dtype=complex), z)
+    assert zero.shape == z.shape and np.array_equal(zero, np.zeros_like(z))
+
+
 def test_evaluate_with_parameters():
     # coefficient (1,1) equal to 1 + x2: value at x2=0.5, z=2 is 1.5*4 = 6
     one_plus_x = ComplexParam(
