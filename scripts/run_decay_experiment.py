@@ -16,7 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from bishopdiscs import fourier, specio
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.curve import SliceParams
-from bishopdiscs.discs import fit_loglog_slope, radial_derivative_of_u
+from bishopdiscs.discs import fit_loglog_slope, radial_derivative_of_u, radius_stencil
 from bishopdiscs.solver import solve_slice
 
 
@@ -35,7 +35,7 @@ def main():
     norms, dr_norms = [], []
     for r in r_list:
         sol = solve_slice(spec, SliceParams(x0, r), config)
-        du = radial_derivative_of_u(spec, sol, config)
+        du = radial_derivative_of_u(radius_stencil(spec, sol, config))
         norms.append(sol.norm_u)
         dr_norms.append(fourier.sup_norm(du))
         rows.append([r, sol.norm_u, dr_norms[-1], sol.iterations])

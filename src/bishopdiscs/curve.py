@@ -88,10 +88,10 @@ class BoundaryCurve:
         return np.abs(self.data.eval_qp(self.points).real - self.r ** 2)
 
 
-def _radial_slope(data, rho, theta):
+def _ray_derivative(data, rho, theta):
+    """w = qp_z(z) e^{i theta} at z = rho e^{i theta}; d/drho qp(z) = 2 Re w."""
     e = np.exp(1j * theta)
-    # d/drho of qp(rho e^{i theta}) = 2 Re{ qp_z(z) e^{i theta} }
-    return 2.0 * np.real(data.eval_qp_dz(rho * e) * e)
+    return data.eval_qp_dz(rho * e) * e
 
 
 def _ray_reach(lam):
@@ -104,7 +104,7 @@ def check_radial_monotonicity(data, r):
     reach = _ray_reach(data.lam)
     theta = fourier.grid(MONOTONE_THETA)
     radii = np.linspace(reach / MONOTONE_RHO, reach, MONOTONE_RHO) * r
-    slope = _radial_slope(data, radii[:, None], theta)     # one row per radius
+    slope = 2.0 * np.real(_ray_derivative(data, radii[:, None], theta))   # one row per radius
     failing = np.any(slope <= 0.0, axis=1)
     if np.any(failing):
         i = int(np.argmax(failing))
@@ -139,7 +139,7 @@ def radial_root(data, theta, r, rho0):
             return rho
         lo = np.where(f < 0.0, np.maximum(lo, rho), lo)
         hi = np.where(f > 0.0, np.minimum(hi, rho), hi)
-        step = f / _radial_slope(data, rho, theta)
+        step = f / (2.0 * np.real(_ray_derivative(data, rho, theta)))
         proposal = rho - step
         outside = (proposal <= lo) | (proposal >= hi)
         rho = np.where(converged, rho,
@@ -151,8 +151,7 @@ def log_radial_slope(data, rho, theta):
     """d log rho / d theta along the level set, by implicit differentiation:
     -Re(qp_z i z) / (rho Re(qp_z e^{i theta})) = Im(w) / Re(w), where
     z = rho e^{i theta} and w = qp_z e^{i theta}."""
-    e = np.exp(1j * theta)
-    w = data.eval_qp_dz(rho * e) * e
+    w = _ray_derivative(data, rho, theta)
     return w.imag / w.real
 
 

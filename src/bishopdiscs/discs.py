@@ -132,7 +132,7 @@ def fit_loglog_slope(values_x, values_y):
     return float(np.polyfit(np.log(values_x), np.log(values_y), 1)[0])
 
 
-def _radius_stencil(spec, solution, config):
+def radius_stencil(spec, solution, config=DEFAULT_CONFIG):
     """Step h = r / FD_R_FACTOR of the radius differences and the slices
     solved at r - h and r + h next to the solved one."""
     slice_params = solution.cmap.curve.slice
@@ -145,9 +145,9 @@ def _radius_stencil(spec, solution, config):
     return h, lo, hi
 
 
-def radial_derivative_of_u(spec, solution, config=DEFAULT_CONFIG):
-    """Central finite difference of the boundary unknown in the radius."""
-    h, lo, hi = _radius_stencil(spec, solution, config)
+def radial_derivative_of_u(stencil):
+    """dU/dr by the central difference on a radius_stencil (h, lo, hi)."""
+    h, lo, hi = stencil
     return (hi.u_samples - lo.u_samples) / (2.0 * h)
 
 
@@ -159,7 +159,7 @@ def derivative_bound_probe(spec, solution, j, s, config=DEFAULT_CONFIG):
         raise ValueError("radial derivative order above 2 is not implemented")
     f = solution.f_samples
     if s > 0:
-        h, lo, hi = _radius_stencil(spec, solution, config)
+        h, lo, hi = radius_stencil(spec, solution, config)
         if s == 1:
             f = (hi.f_samples - lo.f_samples) / (2.0 * h)
         else:
@@ -169,26 +169,24 @@ def derivative_bound_probe(spec, solution, j, s, config=DEFAULT_CONFIG):
     return fourier.sup_norm(f)
 
 
-def jacobian_defect(spec, solution, config=DEFAULT_CONFIG):
+def jacobian_defect(spec, solution, stencil, config=DEFAULT_CONFIG):
     """Max deviation of the slice-map derivative at the origin from the
     flat inclusion (z, X, u) -> (z, X, u + 0 i), by central differences; in X
     one-sided against the solved slice on an axis where one of X +- FD_X_STEP
-    leaves the validity ball (where both do, ValidityEscape is raised)."""
+    leaves the validity ball (where both do, ValidityEscape is raised); in u
+    across the slice's radius stencil (h, lo, hi) from radius_stencil."""
     slice_params = solution.cmap.curve.slice
     x = np.asarray(slice_params.x, dtype=float)
     r = slice_params.r
-    u = slice_params.u
+    h, lo, hi = stencil
 
     def center_values(sol, z_targets):
-        cmap = sol.cmap
-        zc = cmap.boundary_z * (1.0 + sol.f_samples)
-        z_ext = cauchy_extend(cmap, zc, z_targets)
-        w_ext = cauchy_extend(cmap, sol.b_samples, z_targets)
-        return z_ext, w_ext
+        zc = sol.cmap.boundary_z * (1.0 + sol.f_samples)
+        return (cauchy_extend(sol.cmap, zc, z_targets),
+                cauchy_extend(sol.cmap, sol.b_samples, z_targets))
 
     defects = []
     # z block: expect dZ/dz = 1, dW/dz = 0 (Wirtinger via x/y differences)
-    h = r / FD_R_FACTOR
     z_ext, w_ext = center_values(solution, [h, -h, 1j * h, -1j * h])
     dz_dx = (z_ext[0] - z_ext[1]) / (2 * h)
     dz_dy = (z_ext[2] - z_ext[3]) / (2 * h)
@@ -209,14 +207,11 @@ def jacobian_defect(spec, solution, config=DEFAULT_CONFIG):
         step = hx * sum(p is not x for p in ends)
         defects.append(abs(zp[0] - zm[0]) / step)
         defects.append(abs(wp[0] - wm[0]) / step)
-    # u direction: expect dZ/du = 0 and dW/du = 1
-    hu = u / 10.0
-    sol_p = solve_slice(spec, SliceParams(slice_params.x, np.sqrt(u + hu)), config)
-    sol_m = solve_slice(spec, SliceParams(slice_params.x, np.sqrt(u - hu)), config)
-    zp, wp = center_values(sol_p, [0.0])
-    zm, wm = center_values(sol_m, [0.0])
-    defects.append(abs(zp[0] - zm[0]) / (2 * hu))
-    defects.append(abs((wp[0] - wm[0]) / (2 * hu) - 1.0))
+    # u direction: expect dZ/du = 0 and dW/du = 1; du = (r + h)^2 - (r - h)^2
+    du = 4.0 * r * h
+    (zp, wp), (zm, wm) = [center_values(sol, [0.0]) for sol in (hi, lo)]
+    defects.append(abs(zp[0] - zm[0]) / du)
+    defects.append(abs((wp[0] - wm[0]) / du - 1.0))
     return float(max(defects))
 
 
@@ -273,13 +268,15 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
     """Solve and assemble every slice, then run the family checks.
 
     Per-slice failures are recorded, never raised; rate fits need at least
-    three radii. The transform probe records, per parameter point, the gap
-    between the slice transform and its quadratic-model transform.
+    three radii. One radius stencil per slice serves the Jacobian's u
+    direction and dU/dr. The transform probe records, per parameter point,
+    the gap between the slice transform and its quadratic-model transform.
     """
     r_list = sorted(float(r) for r in r_list)
     x_grid = [tuple(float(v) for v in x) for x in x_grid]
     report = FamilyReport()
     discs = {}
+    dr_norms = {}
     for x in x_grid:
         for r in r_list:
             sp = SliceParams(x, r)
@@ -288,7 +285,9 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
                 sol = solve_slice(spec, sp, config)
                 disc = build_disc(spec, sp, sol, config)
                 # the whole per-slice battery runs before the slice counts as converged
-                defect = jacobian_defect(spec, sol, config)
+                stencil = radius_stencil(spec, sol, config)
+                defect = jacobian_defect(spec, sol, stencil, config)
+                dr_norms[(x, r)] = fourier.sup_norm(radial_derivative_of_u(stencil))
                 record.update({
                     "converged": True,
                     "iterations": sol.iterations,
@@ -316,9 +315,7 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
             entry = {"x": list(x)}
             if min(norms) > 0.0:
                 entry["slope_norm_u"] = fit_loglog_slope(rs, norms)
-                dr_norms = [fourier.sup_norm(radial_derivative_of_u(spec, sol, config))
-                            for sol in sols]
-                entry["slope_dr_u"] = fit_loglog_slope(rs, dr_norms)
+                entry["slope_dr_u"] = fit_loglog_slope(rs, [dr_norms[(x, r)] for r in rs])
             report.rate_fits.append(entry)
         # nested slice curves
         rhos = [sol.cmap.curve.rho for sol in sols]

@@ -1,7 +1,9 @@
 """Spectral helpers on equispaced periodic grids.
 
 All routines assume samples f_j = f(2*pi*j/N), N even, and use the
-symmetric trigonometric interpolant (Nyquist bin treated as a cosine).
+symmetric trigonometric interpolant: the Nyquist bin is a cosine split into
+equal halves at modes -N/2 and N/2. interpolant_modes alone writes that
+convention; every routine that resamples or evaluates the interpolant reads it.
 """
 
 import functools
@@ -62,18 +64,29 @@ def derivative(samples, order=1):
     return out.real if np.isrealobj(samples) else out
 
 
+def interpolant_modes(samples):
+    """Coefficients of the trigonometric interpolant at modes -n/2 .. n/2,
+    the Nyquist cosine split into halves."""
+    n = _check_even(samples)
+    c = np.fft.fftshift(np.fft.fft(samples)) / n
+    c = np.append(c, 0.5 * c[0])
+    c[0] *= 0.5
+    return c
+
+
+def _eval_modes(modes, t):
+    """Sum of modes[j] e^{i(j - n/2)t}: Horner in e^{it} over the modes k >= 0
+    and in e^{-it} over k < 0, so mode k takes |k| roundings of e^{it}."""
+    half = (len(modes) - 1) // 2
+    z = np.exp(1j * t)
+    return (eval_taylor(modes[half:], z)
+            + eval_taylor(np.append(0.0, modes[half - 1::-1]), z.conj()))
+
+
 def eval_interpolant(samples, t):
     """Evaluate the trigonometric interpolant of the samples at angles t."""
-    samples = np.asarray(samples)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    n = _check_even(samples)
-    c = np.fft.fft(samples) / n
-    half = n // 2
-    # modes 1 .. half-1 and their negatives, constant, plus Nyquist cosine
-    out = np.full(t.shape, c[0], dtype=complex)
-    for k in range(1, half):
-        out += c[k] * np.exp(1j * k * t) + c[n - k] * np.exp(-1j * k * t)
-    out += c[half] * np.cos(half * t)
+    out = _eval_modes(interpolant_modes(samples), t)
     return out.real if np.isrealobj(samples) else out
 
 
@@ -89,15 +102,9 @@ def upsample(samples, factor):
     n = _check_even(samples)
     if factor <= 1:
         return samples.copy()
+    c = interpolant_modes(samples)
     m = n * int(factor)
-    c = np.fft.fft(samples)
-    out_hat = np.zeros(m, dtype=complex)
-    half = n // 2
-    out_hat[:half] = c[:half]
-    out_hat[-half + 1:] = c[half + 1:]
-    out_hat[half] = 0.5 * c[half]      # split the Nyquist cosine symmetrically
-    out_hat[m - half] = 0.5 * c[half]
-    out = np.fft.ifft(out_hat) * (m / n)
+    out = np.fft.ifft(np.concatenate([c[n // 2:], np.zeros(m - n - 1), c[:n // 2]])) * m
     return out.real if np.isrealobj(samples) else out
 
 
@@ -115,10 +122,7 @@ def sup_norm(samples, factor=8):
     fine = np.abs(upsample(samples, factor))
     i = int(np.argmax(fine))
     spacing = 2.0 * np.pi / len(fine)
-    # modes -n/2 .. n/2 of the interpolant, the Nyquist cosine split in halves
-    c = np.fft.fftshift(np.fft.fft(samples)) / n
-    c = np.append(c, 0.5 * c[0])
-    c[0] *= 0.5
+    c = interpolant_modes(samples)
     k = np.arange(-(n // 2), n // 2 + 1)
     t = i * spacing
     for _ in range(4):
@@ -209,14 +213,13 @@ def invert_correspondence(theta_samples, theta_targets):
     """
     theta_samples = np.asarray(theta_samples, dtype=float)
     n = len(theta_samples)
-    psi = theta_samples - grid(n)          # periodic part
+    psi = interpolant_modes(theta_samples - grid(n))   # periodic part
+    dpsi = 1j * np.arange(-(n // 2), n // 2 + 1) * psi
     targets = np.atleast_1d(np.asarray(theta_targets, dtype=float))
     t = targets.copy()
-    dpsi = derivative(psi)
     for _ in range(60):
-        f = t + eval_interpolant(psi, t) - targets
+        f = t + _eval_modes(psi, t).real - targets
         if np.max(np.abs(f)) < 1e-13:
             return t
-        slope = 1.0 + eval_interpolant(dpsi, t)
-        t = t - f / slope
+        t = t - f / (1.0 + _eval_modes(dpsi, t).real)
     raise NoConvergence("correspondence inversion did not converge")

@@ -10,7 +10,7 @@ from bishopdiscs import fourier, specio
 from bishopdiscs.curve import SliceParams
 from bishopdiscs.discs import (
     build_disc, cauchy_extend, derivative_bound_probe, extend_in_disc,
-    fit_loglog_slope, interior_grid, jacobian_defect, sweep,
+    fit_loglog_slope, interior_grid, jacobian_defect, radius_stencil, sweep,
 )
 from bishopdiscs.errors import StencilOutOfRange, TargetTooCloseToBoundary
 from bishopdiscs.solver import solve_slice
@@ -154,9 +154,9 @@ def test_probe_range_guards(rate_family):
 
 def test_jacobian_defect_small_and_shrinking():
     spec = make_spec(cubic=0.1)
-    defects = [jacobian_defect(spec, solve_slice(spec, SliceParams(X0, r), TIGHT_CONFIG),
-                               TIGHT_CONFIG)
-               for r in (0.1, 0.03)]
+    sols = [solve_slice(spec, SliceParams(X0, r), TIGHT_CONFIG) for r in (0.1, 0.03)]
+    defects = [jacobian_defect(spec, sol, radius_stencil(spec, sol, TIGHT_CONFIG), TIGHT_CONFIG)
+               for sol in sols]
     assert defects[1] < defects[0]
     assert defects[1] < 0.05
 
@@ -166,7 +166,7 @@ def test_jacobian_probe_is_sensitive(rate_family):
     spec = make_spec()
     sol = rate_family[0.1]
     shifted = dataclasses.replace(sol, f_samples=sol.f_samples + 1e-4)
-    defect = jacobian_defect(spec, shifted, TIGHT_CONFIG)
+    defect = jacobian_defect(spec, shifted, radius_stencil(spec, sol, TIGHT_CONFIG), TIGHT_CONFIG)
     assert 0.5e-4 < defect < 2e-4
 
 
@@ -221,6 +221,17 @@ def test_sweep_records_failures_and_continues():
     assert all("ValidityEscape" in f["error"] for f in report.failures)
     assert report.disjointness["pairs"] == 1
     assert [tuple(e["x"]) for e in report.hilbert_gaps] == [X0]
+
+
+def test_radius_stencil_past_r_max_fails_the_slice_not_the_sweep():
+    # r + r/20 = 0.20013 leaves (0, r_max = 0.2]: the slice at 0.1906 fails
+    # inside its battery, and with two radii left no rate fit runs
+    order7 = specio.load(specio.resolve_spec_path("builtin:order7"))
+    report = sweep(order7, [(0.0,) * order7.nvars], [0.05, 0.1, 0.1906])
+    assert [(f["r"], f["error"].split(":")[0]) for f in report.failures] == [
+        (0.1906, "StencilOutOfRange")]
+    assert report.converged_count() == 2
+    assert report.rate_fits == []
 
 
 def test_jacobian_probe_is_one_sided_at_the_rim():

@@ -66,6 +66,67 @@ def test_sup_norm_finds_the_maximum_between_nodes():
     assert fourier.sup_norm(f) == pytest.approx(1.5, abs=1e-14)
 
 
+def _trig_poly(n, t):
+    """Band-limited on the n-point grid, with the Nyquist cosine. At a double
+    t the phase of mode k is only known to about k t eps, so the top modes
+    stay small enough for that floor to sit below 1e-13 at n = 2048."""
+    return (0.7 + 0.5 * np.cos(t) - 0.3 * np.sin(t)
+            + 0.02 * np.sin((n // 2 - 1) * t) + 0.03 * np.cos(n // 2 * t))
+
+
+@pytest.mark.parametrize("n", [4, 256, 2048])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_interpolant_reproduces_a_trig_polynomial_off_the_grid(n, kind):
+    def f(t):
+        if kind == "real":
+            return _trig_poly(n, t)
+        return _trig_poly(n, t) + 1j * (0.4 * np.sin(t) - 0.01 * np.cos(n // 2 * t))
+
+    t = np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, 200)
+    got = fourier.eval_interpolant(f(fourier.grid(n)), t)
+    assert np.isrealobj(got) == (kind == "real")
+    assert np.max(np.abs(got - f(t))) <= 1e-13
+
+
+def _zero_padded(samples, factor):
+    """Resampling by zero padding of the unnormalized spectrum, the Nyquist
+    bin split into equal halves at -n/2 and n/2."""
+    n = len(samples)
+    m = n * factor
+    c = np.fft.fft(samples)
+    pad = np.zeros(m, dtype=complex)
+    pad[:n // 2] = c[:n // 2]
+    pad[m - n // 2 + 1:] = c[n // 2 + 1:]
+    pad[n // 2] = pad[m - n // 2] = 0.5 * c[n // 2]
+    out = np.fft.ifft(pad) * (m / n)
+    return out.real if np.isrealobj(samples) else out
+
+
+@pytest.mark.parametrize("n", [4, 16, 256, 2048])
+@pytest.mark.parametrize("factor", [4, 8])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_upsample_and_modes_match_their_references_bit_for_bit(n, factor, kind):
+    # sup_norm reads exactly these two: the upsampled grid and the modes
+    rng = np.random.default_rng(n + factor)
+    x = rng.standard_normal(n)
+    if kind == "complex":
+        x = x + 1j * rng.standard_normal(n)
+    assert np.array_equal(fourier.upsample(x, factor), _zero_padded(x, factor))
+    c = np.fft.fftshift(np.fft.fft(x)) / n
+    modes = np.append(c, 0.5 * c[0])
+    modes[0] *= 0.5
+    assert np.array_equal(fourier.interpolant_modes(x), modes)
+
+
+def test_correspondence_inversion_round_trips():
+    def theta(t):
+        return t + 0.3 * np.sin(t) + 0.05 * np.cos(3 * t)
+
+    t = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 200)
+    got = fourier.invert_correspondence(theta(T), theta(t))
+    assert np.max(np.abs(got - t)) <= 1e-13
+
+
 def test_circle_operator_reduces_to_model():
     curve = trace_level_curve(quadric_slice(0.0), SliceParams(X0, 0.1))
     out = hilbert_on_curve(riemann_map(curve), np.cos(T))
