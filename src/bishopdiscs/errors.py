@@ -21,6 +21,10 @@ class SingularNormalizationMatrix(PipelineError):
     """A weighted-degree normalization system is numerically singular."""
 
 
+class EmptySampleGrid(PipelineError):
+    """A parameter fit was asked for over an empty list of sample points."""
+
+
 class NotStarShaped(PipelineError):
     """The level function is not radially monotone; slice radius too large."""
 

@@ -15,9 +15,10 @@ grid afterwards:
      Re C_m(z, q(z)) = (current degree-m imaginary part) subject to
      Im C_m(0, u) = 0.
 
-normalize_full runs the four steps once per sample. All transformations are
-recorded per sample (exact replay) and as degree-2 least-squares parameter
-fits (reporting); downstream slices use the pointwise tables when available.
+normalize_full runs steps 1-3 per sample and step 4 once over the stack of
+samples. All transformations are recorded per sample (exact replay) and as
+degree-2 least-squares parameter fits (reporting); downstream slices use
+the pointwise tables when available.
 """
 
 from dataclasses import dataclass, field
@@ -26,14 +27,14 @@ import numpy as np
 
 from .curve import SliceData
 from .errors import (
-    EllipticityViolation, NoConvergence, SchemaViolation,
+    EllipticityViolation, EmptySampleGrid, NoConvergence, SchemaViolation,
     SingularNormalizationMatrix, ValidityEscape,
 )
 from .series import (
     BidegreeSeries, ComplexParam, ParamPoly, compose_w, eval_matrix,
     imag_part_matrix, matrix_derivative_z, matrix_derivative_zbar,
     monomials_upto, quadric_matrix, real_part_matrix, rotate_matrix,
-    translate_matrix,
+    slice_powers, translate_matrix,
 )
 
 NEWTON_MAX_ITER = 50   # recentering Newton steps
@@ -58,39 +59,36 @@ def sample_grid(nvars, radius, points_per_axis=3):
     return [tuple(row) for row in pts]
 
 
-def fit_parampoly(points, values, nvars):
-    """Least-squares polynomial fit of scalar samples over the grid."""
+def fit_design(points, nvars):
+    """Fit design matrix: row i holds the monomials of degree <= FIT_DEGREE at points[i]."""
     mons = monomials_upto(nvars, FIT_DEGREE)
-    a = np.zeros((len(points), len(mons)))
+    a = np.ones((len(points), len(mons)))
     for i, x in enumerate(points):
         for jm, exp in enumerate(mons):
-            term = 1.0
             for xv, e in zip(x, exp):
-                term *= xv ** e
-            a[i, jm] = term
-    coef, *_ = np.linalg.lstsq(a, np.asarray(values, dtype=float), rcond=None)
-    terms = {exp: c for exp, c in zip(mons, coef) if abs(c) > 1e-14}
+                a[i, jm] *= xv ** e
+    return a
+
+
+def fit_parampoly(design, values, nvars):
+    """Least-squares polynomial fit of scalar samples over the grid."""
+    coef, *_ = np.linalg.lstsq(design, np.asarray(values, dtype=float), rcond=None)
+    terms = {exp: c for exp, c in zip(monomials_upto(nvars, FIT_DEGREE), coef)
+             if abs(c) > 1e-14}
     return ParamPoly(nvars, FIT_DEGREE, terms)
 
 
-def fit_complex(points, values, nvars):
+def fit_complex(design, values, nvars):
     values = np.asarray(values, dtype=complex)
-    return ComplexParam(fit_parampoly(points, values.real, nvars),
-                        fit_parampoly(points, values.imag, nvars))
+    return ComplexParam(fit_parampoly(design, values.real, nvars),
+                        fit_parampoly(design, values.imag, nvars))
 
 
-def fit_series(points, matrices, nvars, max_degree):
-    """Coefficient-wise parameter fit of a family of slice matrices."""
-    coeffs = {}
-    size = matrices[0].shape[0]
-    for j in range(size):
-        for k in range(size):
-            if j + k > max_degree:
-                continue
-            vals = np.array([m[j, k] for m in matrices])
-            if np.max(np.abs(vals)) <= FIT_DROP_TOL:
-                continue
-            coeffs[(j, k)] = fit_complex(points, vals, nvars)
+def fit_series(design, matrices, nvars, max_degree):
+    """Coefficient-wise parameter fit of a stack of slice matrices."""
+    coeffs = {(j, k): fit_complex(design, matrices[:, j, k], nvars)
+              for j in range(max_degree + 1) for k in range(max_degree + 1 - j)
+              if np.max(np.abs(matrices[:, j, k])) > FIT_DROP_TOL}
     return BidegreeSeries(nvars, max_degree, FIT_DEGREE, coeffs)
 
 
@@ -163,11 +161,8 @@ class ManifoldSpec:
             return SliceData.from_matrices(lam_val, qp, kmat)
         xa = np.asarray(key, dtype=float)
         lam_val = float(self.lam.evaluate(xa))
-        size = self.max_degree + 1
-        qp = quadric_matrix(lam_val, size)
-        qp += self.p.fix_parameters(xa)
-        kmat = self.k.fix_parameters(xa)
-        return SliceData.from_matrices(lam_val, qp, kmat)
+        qp = quadric_matrix(lam_val, self.max_degree + 1) + self.p.fix_parameters(xa)
+        return SliceData.from_matrices(lam_val, qp, self.k.fix_parameters(xa))
 
     def validate(self):
         if self.l < 7:
@@ -228,7 +223,6 @@ class CoordinateChange:
         key = tuple(float(v) for v in np.atleast_1d(x))
         rec = self.records[key]
         mat = translate_matrix(raw.slice_matrix(key), rec.z0)
-        mat = mat.copy()
         mat[0, 0] -= rec.const_shift
         mat[1, 0] -= rec.c10
         mat = mat / rec.gamma
@@ -239,16 +233,16 @@ class CoordinateChange:
                 mat = mat - 1j * compose_w(rec.bm[m], mat)
         return mat
 
-    def fit_over(self, points, nvars):
+    def fit_over(self, points, design, nvars):
         recs = [self.records[tuple(p)] for p in points]
-        self.z0_fit = fit_complex(points, [r.z0 for r in recs], nvars)
-        self.gamma_fit = fit_complex(points, [r.gamma for r in recs], nvars)
-        self.c10_fit = fit_complex(points, [r.c10 for r in recs], nvars)
-        self.theta_fit = fit_parampoly(points, [r.theta for r in recs], nvars)
-        self.quad_absorb_fit = fit_complex(points, [r.quad_absorb for r in recs], nvars)
+        self.z0_fit = fit_complex(design, [r.z0 for r in recs], nvars)
+        self.gamma_fit = fit_complex(design, [r.gamma for r in recs], nvars)
+        self.c10_fit = fit_complex(design, [r.c10 for r in recs], nvars)
+        self.theta_fit = fit_parampoly(design, [r.theta for r in recs], nvars)
+        self.quad_absorb_fit = fit_complex(design, [r.quad_absorb for r in recs], nvars)
         # every record carries the same stages and monomials
         self.bm_fits = {
-            m: {jk: fit_complex(points, [r.bm[m][jk] for r in recs], nvars)
+            m: {jk: fit_complex(design, [r.bm[m][jk] for r in recs], nvars)
                 for jk in sorted(cm)}
             for m, cm in sorted(recs[0].bm.items())}
         return self
@@ -292,10 +286,12 @@ def recenter_cr_singularity(mat, x):
             trial = z0 + step
             g_trial = complex(eval_matrix(g_mat, trial))
             if abs(g_trial) < abs(g):
+                z0, g = trial, g_trial
                 break
             step *= 0.5
-        z0 = z0 + step
-        g = complex(eval_matrix(g_mat, z0))
+        else:
+            z0 = z0 + step
+            g = complex(eval_matrix(g_mat, z0))
     if abs(g) < NEWTON_TOL:
         return z0
     raise NoConvergence(
@@ -311,7 +307,6 @@ def _normalize_slice(mat, x):
     gamma = t[1, 1]
     if abs(gamma) < 1e-8:
         raise NoConvergence(f"degenerate z zbar coefficient {gamma} at X={x}")
-    t = t.copy()
     t[0, 0] = 0.0
     t[1, 0] = 0.0
     t = t / gamma
@@ -336,101 +331,99 @@ def weighted_monomials(m):
     return [(m - 2 * j2, j2) for j2 in range(m // 2 + 1)]
 
 
-def _fm_coordinates(mat_m, m):
-    """Real coordinates of a degree-m real bidegree polynomial."""
+def _fm_coordinates(diag, m):
+    """Real coordinates of a degree-m real bidegree polynomial, read off its
+    antidiagonal diag[..., j] = mat[..., j, m - j] (stacks allowed)."""
     coords = []
     for j in range(m, (m - 1) // 2, -1):
-        k = m - j
-        if j == k:
-            coords.append(mat_m[j, k].real)
-        else:
-            coords.extend([mat_m[j, k].real, mat_m[j, k].imag])
-    return np.array(coords)
+        coords.append(diag[..., j].real)
+        if j != m - j:
+            coords.append(diag[..., j].imag)
+    return np.stack(coords, axis=-1)
 
 
-def solve_normalization_stage(lam_val, defect, m, size):
+def _antidiagonal(mat, m):
+    """Entries mat[..., j, m - j] for j = 0..m."""
+    j = np.arange(m + 1)
+    return mat[..., j, m - j]
+
+
+def solve_normalization_stage(lam, defect, m, size):
     """Solve Re C(z, q(z)) = defect over weight-m normalized polynomials.
 
     defect is a coefficient matrix supported in total degree m satisfying
     the reality predicate. Returns ({(j1,j2): complex}, condition_number).
+    A stack of samples (lam of shape (S,), defect of shape (S, size, size))
+    gives arrays of shape (S,) in their place.
     """
     mons = weighted_monomials(m)
-    q = quadric_matrix(lam_val, size)
-    mono_mats = []
-    for j1, j2 in mons:
-        poly = {(j1, j2): 1.0}
-        mono_mats.append(compose_w(poly, q))
-    # real unknowns: (Re b, Im b) per monomial, dropping Im b for z^0 w^{m/2}
-    unknowns = []
+    q_pows = slice_powers(quadric_matrix(lam, size), m // 2)
+    # real unknowns: (Re b, Im b) per monomial, dropping Im b for z^0 w^{m/2};
+    # column (idx, unit) holds the degree-m coordinates of Re(unit z^j1 q^j2),
+    # whose degree-m antidiagonal is that of q^j2 at degree m - j1 shifted by j1
+    unknowns, cols = [], []
     for idx, (j1, j2) in enumerate(mons):
-        unknowns.append((idx, 1.0))
-        if not (m % 2 == 0 and j1 == 0):
-            unknowns.append((idx, 1j))
-    n_coords = m + 1
-    if len(unknowns) != n_coords:
-        raise SingularNormalizationMatrix(
-            f"basis dimension {len(unknowns)} does not match target {n_coords}")
-    a = np.zeros((n_coords, len(unknowns)))
-    for col, (idx, unit) in enumerate(unknowns):
-        re_mat = real_part_matrix(unit * mono_mats[idx])
-        a[:, col] = _fm_coordinates(re_mat, m)
+        mono = np.zeros(np.shape(lam) + (m + 1,), dtype=complex)
+        mono[..., j1:] += _antidiagonal(q_pows[j2], m - j1)
+        for unit in (1.0,) if m % 2 == 0 and j1 == 0 else (1.0, 1j):
+            unknowns.append((idx, unit))
+            u = unit * mono
+            cols.append(_fm_coordinates(0.5 * (u + np.conj(u[..., ::-1])), m))
+    a = np.stack(cols, axis=-1)
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SingularNormalizationMatrix(
-            f"weight-{m} normalization matrix has condition number {cond:.3e}")
-    rhs = _fm_coordinates(defect, m)
-    sol = np.linalg.solve(a, rhs)
+    bad = np.flatnonzero(~(np.isfinite(cond) & (cond <= 1e12)))
+    if bad.size:
+        raise SingularNormalizationMatrix(f"weight-{m} normalization matrix of sample {bad[0]}"
+                                          f" has condition number {np.ravel(cond)[bad[0]]:.3e}")
+    rhs = _fm_coordinates(_antidiagonal(defect, m), m)
+    sol = np.linalg.solve(a, rhs[..., None])[..., 0]
     out = {}
     for col, (idx, unit) in enumerate(unknowns):
-        out[mons[idx]] = out.get(mons[idx], 0.0) + sol[col] * unit
+        out[mons[idx]] = out.get(mons[idx], 0.0) + sol[..., col] * unit
     return out, cond
-
-
-def _kill_imaginary_tail(s, rec, l, x):
-    """Run step 4 on one slice matrix; records each stage's C_m in rec.bm."""
-    size = s.shape[0]
-    for m in range(3, l + 1):
-        defect = np.zeros_like(s)
-        im = imag_part_matrix(s)
-        for j in range(m + 1):
-            defect[j, m - j] = im[j, m - j]
-        cm, _ = solve_normalization_stage(rec.lam, defect, m, size)
-        rec.bm[m] = cm
-        s = s - 1j * compose_w(cm, s)
-        residual = imag_part_matrix(s)
-        stage_res = max(abs(residual[j, m - j]) for j in range(m + 1))
-        if stage_res > 1e-10 * (1.0 + np.max(np.abs(defect))):
-            raise SingularNormalizationMatrix(
-                f"stage {m} left residual {stage_res:.3e} at X={x}")
-    return s
 
 
 def normalize_full(raw, l, sample_points=None):
     """Reduce a raw defining series to normal form through weight l.
 
-    Each sample runs steps 1-4 once. Returns the ManifoldSpec (lam, P and K
-    fitted over the samples, the exact matrices kept as its sample table)
-    and the recorded CoordinateChange.
+    Steps 1-3 run per sample, step 4 once over the stack of samples. Returns
+    the ManifoldSpec (lam, P and K fitted over the samples, the exact
+    matrices kept as its sample table) and the recorded CoordinateChange.
     """
     max_degree = raw.series.max_degree
     if max_degree < l:
         raise SchemaViolation(
             f"series degree {max_degree} too small for order l = {l}")
-    points = sample_points or sample_grid(raw.nvars, raw.validity_radius)
-    points = [tuple(float(v) for v in p) for p in points]
-    change = CoordinateChange()
-    samples = {}
-    for x in points:
-        mat, rec = _normalize_slice(raw.slice_matrix(x), x)
-        mat = _kill_imaginary_tail(mat, rec, l, x)
-        change.records[x] = rec
-        samples[x] = (float(rec.lam), real_part_matrix(mat), imag_part_matrix(mat))
-    change.fit_over(points, raw.nvars)
-    lams, qps, kmats = zip(*(samples[x] for x in points))
-    p_mats = [qp - quadric_matrix(lam, max_degree + 1) for lam, qp in zip(lams, qps)]
+    if sample_points is None:
+        sample_points = sample_grid(raw.nvars, raw.validity_radius)
+    points = [tuple(float(v) for v in p) for p in sample_points]
+    if not points:
+        raise EmptySampleGrid("normalize_full got an empty list of sample points;"
+                              " pass at least one, or None for the default grid")
+    mats, recs = zip(*(_normalize_slice(raw.slice_matrix(x), x) for x in points))
+    change = CoordinateChange(dict(zip(points, recs)))
+    lams = np.array([rec.lam for rec in recs])
+    s = np.stack(mats)
+    for m in range(3, l + 1):
+        j = np.arange(m + 1)
+        defect = np.zeros_like(s)
+        defect[..., j, m - j] = _antidiagonal(imag_part_matrix(s), m)
+        cm, _ = solve_normalization_stage(lams, defect, m, s.shape[-1])
+        for i, rec in enumerate(recs):
+            rec.bm[m] = {mon: v[i] for mon, v in cm.items()}
+        s = s - 1j * compose_w(cm, s)
+        stage_res = np.abs(_antidiagonal(imag_part_matrix(s), m)).max(axis=-1)
+        bad = np.flatnonzero(stage_res > 1e-10 * (1.0 + np.abs(defect).max(axis=(-2, -1))))
+        if bad.size:
+            raise SingularNormalizationMatrix(
+                f"stage {m} left residual {stage_res[bad[0]]:.3e} at X={points[bad[0]]}")
+    design = fit_design(points, raw.nvars)
+    change.fit_over(points, design, raw.nvars)
+    qps, kmats = real_part_matrix(s), imag_part_matrix(s)
+    samples = {x: (lam, qp, kmat) for x, lam, qp, kmat in zip(points, lams.tolist(), qps, kmats)}
     spec = ManifoldSpec(
-        n=raw.n, l=l, lam=fit_parampoly(points, lams, raw.nvars),
-        p=fit_series(points, p_mats, raw.nvars, max_degree),
-        k=fit_series(points, kmats, raw.nvars, max_degree),
+        n=raw.n, l=l, lam=fit_parampoly(design, lams, raw.nvars),
+        p=fit_series(design, qps - quadric_matrix(lams, max_degree + 1), raw.nvars, max_degree),
+        k=fit_series(design, kmats, raw.nvars, max_degree),
         validity_radius=raw.validity_radius, samples=samples)
     return spec, change

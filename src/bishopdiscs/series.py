@@ -219,50 +219,52 @@ def eval_matrix(mat, z):
 
 def matrix_derivative_z(mat):
     out = np.zeros_like(mat)
-    for j in range(1, mat.shape[0]):
-        out[j - 1, :] = j * mat[j, :]
+    out[:-1, :] = np.arange(1, mat.shape[0])[:, None] * mat[1:, :]
     return out
 
 
 def matrix_derivative_zbar(mat):
     out = np.zeros_like(mat)
-    for k in range(1, mat.shape[1]):
-        out[:, k - 1] = k * mat[:, k]
+    out[:, :-1] = np.arange(1, mat.shape[1]) * mat[:, 1:]
     return out
 
 
 def conv_trunc(a, b):
-    """Product of two slice matrices, cut at the total degree of a."""
-    d = a.shape[0]
+    """Product of two slice matrices (or stacks of them, shape (..., d, d)),
+    cut at the total degree of a. A stack loops over the entries nonzero in
+    any matrix of a; the others add 0 * b there, which changes no bit of a
+    running sum that starts at +0 (b finite)."""
+    d = a.shape[-1]
     out = np.zeros_like(a)
-    ja, ka = np.nonzero(a)
+    ja, ka = np.nonzero(a.reshape(-1, d, d).any(axis=0))
     for j1, k1 in zip(ja, ka):
-        c = a[j1, k1]
-        jmax = d - j1
-        kmax = d - k1
-        out[j1:, k1:] += c * b[:jmax, :kmax]
+        out[..., j1:, k1:] += a[..., j1, k1, None, None] * b[..., :d - j1, :d - k1]
     # enforce the total-degree truncation
     d_idx = np.add.outer(np.arange(d), np.arange(d))
-    out[d_idx > d - 1] = 0.0
+    out[..., d_idx > d - 1] = 0.0
+    return out
+
+
+def slice_powers(s_mat, top):
+    """[1, S, ..., S^top] as truncated slice matrices (or stacks of them)."""
+    out = [np.zeros_like(s_mat)]
+    out[0][..., 0, 0] = 1.0
+    for _ in range(top):
+        out.append(conv_trunc(out[-1], s_mat))
     return out
 
 
 def compose_w(poly, s_mat):
-    """Sum over poly entries b[(j1, j2)] z^{j1} S(z, zbar)^{j2}."""
-    d = s_mat.shape[0]
+    """Sum over poly entries b[(j1, j2)] z^{j1} S(z, zbar)^{j2}; for a stack
+    s_mat of shape (..., d, d), each b is a scalar or of shape (...)."""
+    d = s_mat.shape[-1]
     out = np.zeros_like(s_mat)
-    powers = [np.zeros_like(s_mat)]
-    powers[0][0, 0] = 1.0
+    pows = slice_powers(s_mat, max((j2 for _, j2 in poly), default=0))
     for (j1, j2), b in sorted(poly.items()):
-        while len(powers) <= j2:
-            powers.append(conv_trunc(powers[-1], s_mat))
-        term = np.zeros_like(s_mat)
-        base = powers[j2]
         if j1 < d:
-            term[j1:, :] = base[: d - j1, :]
-        d_idx = np.add.outer(np.arange(d), np.arange(d))
-        term[d_idx > d - 1] = 0.0
-        out += b * term
+            out[..., j1:, :] += np.asarray(b)[..., None, None] * pows[j2][..., : d - j1, :]
+    d_idx = np.add.outer(np.arange(d), np.arange(d))
+    out[..., d_idx > d - 1] = 0.0
     return out
 
 
@@ -292,7 +294,7 @@ def rotate_matrix(mat, angle):
 
 
 def conj_mirror(mat):
-    return np.conj(mat).T
+    return np.conj(mat).swapaxes(-1, -2)
 
 
 def real_part_matrix(mat):
@@ -304,9 +306,10 @@ def imag_part_matrix(mat):
 
 
 def quadric_matrix(lam, size):
-    """The model quadric z zbar + lam (z^2 + zbar^2) as a slice matrix."""
-    mat = np.zeros((size, size), dtype=complex)
-    mat[1, 1] = 1.0
-    mat[2, 0] = lam
-    mat[0, 2] = lam
+    """The model quadric z zbar + lam (z^2 + zbar^2) as a slice matrix; an
+    array of lam gives the stack of their quadrics."""
+    mat = np.zeros(np.shape(lam) + (size, size), dtype=complex)
+    mat[..., 1, 1] = 1.0
+    mat[..., 2, 0] = lam
+    mat[..., 0, 2] = lam
     return mat

@@ -66,7 +66,8 @@ def test_verify_accepts_tolerance_below_noise_floor(tmp_path):
      "disc_report.json"),
     (["sweep", "--spec", "builtin:perturbed", "--r-list", "0.03,0.05,0.1"],
      "sweep_report.json"),
-], ids=["disc", "sweep"])
+    (["normalize", "--spec", "builtin:raw_example"], "normalize_report.json"),
+], ids=["disc", "sweep", "normalize"])
 def test_reports_are_byte_identical(tmp_path, args, report):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out_a)]) == 0

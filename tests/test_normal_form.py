@@ -4,7 +4,9 @@ trips, stagewise elimination against a residual oracle, full-pipeline checks."""
 import numpy as np
 import pytest
 
-from bishopdiscs.errors import EllipticityViolation, SchemaViolation
+from bishopdiscs.errors import (
+    EllipticityViolation, EmptySampleGrid, SchemaViolation, SingularNormalizationMatrix,
+)
 from bishopdiscs.normal_form import (
     RawDefiningSeries, detect_cr_singularity, normalize_full,
     recenter_cr_singularity, sample_grid, solve_normalization_stage,
@@ -198,6 +200,14 @@ def test_weight4_stage_against_residual_oracle():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_stacked_stage_names_first_singular_sample():
+    # lam = 1 makes the weight-3 system singular
+    size = MD + 1
+    defect = np.zeros((4, size, size), dtype=complex)
+    with pytest.raises(SingularNormalizationMatrix, match="weight-3 .* of sample 2 "):
+        solve_normalization_stage(np.array([0.2, 0.3, 1.0, 1.0]), defect, 3, size)
+
+
 def test_kill_is_identity_when_tail_absent():
     spec, change = normalize_full(plain_quadric_raw(lam=0.2), l=7)
     for x, rec in change.records.items():
@@ -294,3 +304,32 @@ def test_sample_grid_covers_ball():
     assert len(grid) == 9
     assert all(np.hypot(*x) <= 0.15 + 1e-15 for x in grid)
     assert (0.0, 0.0) in grid
+
+
+def test_grid_pass_is_bitwise_the_pointwise_pass():
+    raw = full_raw_example()
+    points = sample_grid(2, 0.12, points_per_axis=4)
+    spec, change = normalize_full(raw, 7, points)
+    assert len(spec.samples) == 16
+    for x in points:
+        alone, alone_change = normalize_full(raw, 7, [x])
+        lam, qp, kmat = spec.samples[x]
+        lam_a, qp_a, kmat_a = alone.samples[x]
+        assert lam == lam_a
+        assert qp.tobytes() == qp_a.tobytes() and kmat.tobytes() == kmat_a.tobytes()
+        bm, bm_a = change.records[x].bm, alone_change.records[x].bm
+        assert list(bm) == list(bm_a) == list(range(3, 8))
+        for m in bm:
+            assert list(bm[m]) == list(bm_a[m])
+            for jk, v in bm[m].items():
+                assert v == bm_a[m][jk] and type(v) is type(bm_a[m][jk])
+
+
+def test_sample_points_array_and_empty_list():
+    raw = full_raw_example()
+    grid = sample_grid(2, 0.15)
+    spec, _ = normalize_full(raw, 7, np.array(grid))
+    default, _ = normalize_full(raw, 7)
+    assert list(spec.samples) == list(default.samples)
+    with pytest.raises(EmptySampleGrid, match="empty list of sample points"):
+        normalize_full(raw, 7, [])

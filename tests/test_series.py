@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bishopdiscs.errors import ParameterDimensionMismatch
 from bishopdiscs.series import (
-    BidegreeSeries, ComplexParam, ParamPoly, conv_trunc, eval_matrix,
+    BidegreeSeries, ComplexParam, ParamPoly, compose_w, conv_trunc, eval_matrix,
     imag_part_matrix, matrix_derivative_z, matrix_derivative_zbar,
     quadric_matrix, real_part_matrix,
 )
@@ -88,6 +88,30 @@ def test_multiply_truncates_to_min_degree():
     a = M({(3, 0): 1.0}, max_degree=4)
     assert not np.any(conv_trunc(a, M({(0, 3): 1.0}, max_degree=4)))
     assert entries(conv_trunc(a, M({(0, 1): 1.0}, max_degree=4))) == {(3, 1): 1.0}
+
+
+def test_stacked_product_and_composition_are_bitwise_per_matrix():
+    # a stack whose members have different supports, one of them all zero:
+    # each member must come out exactly as it does alone
+    rng = np.random.default_rng(5)
+
+    def random_matrix(support):
+        return M({jk: complex(rng.normal(), rng.normal()) for jk in support})
+
+    a = np.stack([random_matrix([(1, 1), (2, 0), (0, 2)]), M({}),
+                  random_matrix([(3, 0), (1, 2), (0, 1), (4, 4)]),
+                  random_matrix([(0, 0), (5, 1)])])
+    b = np.stack([random_matrix([(1, 0), (0, 3)]), random_matrix([(2, 2), (1, 1)]),
+                  M({}), random_matrix([(0, 1), (4, 0), (2, 3)])])
+    prod = conv_trunc(a, b)
+    poly = {(1, 0): rng.normal(size=4) + 1j * rng.normal(size=4),
+            (0, 2): rng.normal(size=4), (3, 1): np.array([0.0, 1.5, 0.0, -2j])}
+    comp = compose_w(poly, b)
+    for i in range(len(a)):
+        assert np.array_equal(prod[i], conv_trunc(a[i], b[i]))
+        assert prod[i].tobytes() == conv_trunc(a[i], b[i]).tobytes()
+        alone = compose_w({jk: v[i] for jk, v in poly.items()}, b[i])
+        assert comp[i].tobytes() == alone.tobytes()
 
 
 def test_parameter_dimension_mismatch():
