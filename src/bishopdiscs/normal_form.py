@@ -356,6 +356,10 @@ def solve_normalization_stage(lam, defect, m, size):
     A stack of samples (lam of shape (S,), defect of shape (S, size, size))
     gives arrays of shape (S,) in their place.
     """
+    bad = np.flatnonzero(~(np.isfinite(lam) & np.isfinite(defect).all(axis=(-2, -1))))
+    if bad.size:
+        raise SingularNormalizationMatrix(
+            f"weight-{m} normalization stage of sample {bad[0]} has a non-finite lam or defect")
     mons = weighted_monomials(m)
     q_pows = slice_powers(quadric_matrix(lam, size), m // 2)
     # real unknowns: (Re b, Im b) per monomial, dropping Im b for z^0 w^{m/2};

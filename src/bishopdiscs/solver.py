@@ -7,13 +7,13 @@ equation (in the conformal parameter t)
 
 where F = (U + i H[U]) / D is built from one real unknown U so that the
 disc components extend holomorphically, and the height normalization pins
-the extension value r^2 at the slice center. The iteration is the damped
-Picard scheme
+the extension value r^2 at the slice center. U is the fixed point of
 
-    U  <-  -C* ( Omega_1(F) + H[K(z(1+F))] / r^2 ),
+    G(U) = -C* ( Omega_1(F) + H[K(z(1+F))] / r^2 ),  Omega_1 = Omega - 1 - Re{C F}.
 
-with Omega_1 the exact nonlinear remainder Omega - 1 - Re{C F} of the level
-functional. The linear remainder Omega - 1 is evaluated cancellation-free
+Omega_1 keeps the linear term -Im c Im F, so U is found by damped chord steps
+(I - s H) delta = G(U) - U, s = Im c / Re c, the linearisation of U - G(U) at
+F = 0 but for the O(r^5) K term. Omega - 1 is evaluated cancellation-free
 via (1+F)^j (1+Fbar)^k - 1 products so that converged values sit at the
 arithmetic noise floor of the small quantities themselves, not of the O(1)
 level function.
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fourier
 from .config import DEFAULT_CONFIG
-from .conformal import riemann_map
+from .conformal import KRYLOV_MAX_ITER, KRYLOV_TOL, gmres, riemann_map
 from .curve import trace_level_curve
 from .errors import NoConvergence, NonzeroWinding, ValidityEscape, ZeroOnCurve
 from .series import eval_matrix, powers
@@ -67,6 +67,31 @@ def build_slice_operators(cmap):
     c_star = np.exp(-fourier.conjugate_samples(arg_c)) / np.abs(c)
     d = c_star * c.astype(complex)
     return SliceOperators(c_star, d, fourier.negative_energy_fraction(d), c_complex)
+
+
+def _chord_inverse(c_complex):
+    """Closed-form inverse b -> delta of delta - s H[delta] (Wegmann 1986): as
+    c = |c| e^{H[arg c]} Q with Q = exp(i arg c - H[arg c]), Re(Q Phi) = Re(Q) b for
+    Phi = delta + i H[delta], so Q Phi = V + i H[V] + i mean(V) tan(mean arg c), V = Re(Q) b."""
+    alpha = np.unwrap(np.angle(c_complex))
+    outer = np.exp(1j * alpha - fourier.conjugate_samples(alpha))
+    tan_mean = np.tan(np.mean(alpha))
+
+    def inverse(b):
+        v = outer.real * b
+        return np.real((v + 1j * (fourier.conjugate_samples(v) + np.mean(v) * tan_mean)) / outer)
+    return inverse
+
+
+def _chord_solver(c_complex):
+    """b -> delta with delta - s H[delta] = b, s = Im c / Re c: right-preconditioned GMRES."""
+    s = c_complex.imag / c_complex.real
+    inverse = _chord_inverse(c_complex)
+
+    def preconditioned(y):
+        v = inverse(y)
+        return v - s * fourier.conjugate_samples(v)
+    return lambda b: inverse(gmres(preconditioned, b, KRYLOV_TOL, KRYLOV_MAX_ITER))
 
 
 def omega(f, cmap):
@@ -130,13 +155,14 @@ def solve_slice(spec, slice_params, config=DEFAULT_CONFIG):
 
 
 def step_tolerance(r, config):
-    """Picard step at which a slice of radius r counts as solved (noise-floored)."""
+    """Defect max |G(U) - U| at which a slice of radius r is solved (noise-floored)."""
     return max(config.solve_tol * r ** 2, 4e-16)
 
 
 def solve_u(cmap, config=DEFAULT_CONFIG):
-    """Damped Picard iteration for the real boundary unknown U."""
+    """Damped chord iteration (I - s H) delta = G(U) - U for the boundary unknown U."""
     ops = build_slice_operators(cmap)
+    chord = _chord_solver(ops.c_complex)
     r = cmap.r
     zb = cmap.boundary_z
     kmat = cmap.curve.data.k
@@ -162,7 +188,7 @@ def solve_u(cmap, config=DEFAULT_CONFIG):
         if step_norm >= prev_step and halvings < 3:
             damping *= 0.5
             halvings += 1
-        u = u + damping * step
+        u = u + damping * chord(step)
         if step_norm < tol_eff:
             break
         prev_step = step_norm

@@ -208,6 +208,19 @@ def test_stacked_stage_names_first_singular_sample():
         solve_normalization_stage(np.array([0.2, 0.3, 1.0, 1.0]), defect, 3, size)
 
 
+def test_non_finite_stage_input_is_typed():
+    # np.linalg.cond would raise an untyped LinAlgError on these
+    size = MD + 1
+    with pytest.raises(SingularNormalizationMatrix, match="weight-4 .* of sample 0 .*non-finite"):
+        solve_normalization_stage(np.nan, np.zeros((size, size)), 4, size)
+    defect = np.zeros((3, size, size), dtype=complex)
+    defect[2, 4, 0] = np.inf
+    with pytest.raises(SingularNormalizationMatrix, match="weight-4 .* of sample 1 .*non-finite"):
+        solve_normalization_stage(np.array([0.2, np.nan, 0.3]), defect, 4, size)
+    with pytest.raises(SingularNormalizationMatrix, match="weight-4 .* of sample 2 .*non-finite"):
+        solve_normalization_stage(np.array([0.2, 0.25, 0.3]), defect, 4, size)
+
+
 def test_kill_is_identity_when_tail_absent():
     spec, change = normalize_full(plain_quadric_raw(lam=0.2), l=7)
     for x, rec in change.records.items():
