@@ -4,8 +4,9 @@ Each solved slice yields one analytic disc: the boundary data z(1+F) and
 the height component extend holomorphically to the closed unit disc through
 their Fourier coefficients (equivalently, the Cauchy integral over the
 boundary). Families swept over (X, r) are checked for boundary attachment,
-mutual disjointness, nested slice curves, decay rates of the solved norms,
-and the near-identity behaviour of the slice map at the origin.
+mutual disjointness (certified by the maximum principle), nested slice
+curves, decay rates of the solved norms, and the near-identity behaviour of
+the slice map at the origin.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -21,7 +22,6 @@ from .solver import DiscSolution, solve_slice
 
 FD_R_FACTOR = 20.0     # radius step of the finite differences is r / FD_R_FACTOR
 FD_X_STEP = 1e-3       # parameter step of the finite differences
-CLOUD_POINTS = 512     # ambient points per disc in the disjointness check
 
 
 # --------------------------------------------------------------------------
@@ -87,26 +87,6 @@ class AttachedDisc:
         n_coeffs = len(cmap.coeffs)
         z = extend_in_disc(cmap.boundary_z * (1.0 + sol.f_samples), zeta, n_coeffs)
         return z, extend_in_disc(sol.b_samples, zeta, n_coeffs)
-
-    def ambient_points(self):
-        """Ambient coordinates (Re z, Im z, X, Re w, Im w) at up to
-        CLOUD_POINTS evenly strided nodes of interior_grid(16, ntheta)."""
-        zeta = interior_grid(16, self.solution.cmap.n).ravel()
-        stride = max(1, len(zeta) // CLOUD_POINTS)
-        z, w = self.values(zeta[::stride][:CLOUD_POINTS])
-        x = np.asarray(self.solution.cmap.curve.slice.x, dtype=float)
-        cols = [z.real, z.imag]
-        cols.extend(np.full(len(z), xv) for xv in x)
-        cols.extend([w.real, w.imag])
-        return np.stack(cols, axis=1)
-
-
-def interior_grid(n_radii, ntheta):
-    """Radial-angular grid of the closed unit disc, clustered at the rim."""
-    j = np.arange(1, n_radii + 1)
-    radii = np.sin(0.5 * np.pi * j / n_radii)
-    t = fourier.grid(ntheta)
-    return radii[:, None] * np.exp(1j * t)[None, :]
 
 
 def build_disc(spec, slice_params, solution, config=DEFAULT_CONFIG):
@@ -221,7 +201,12 @@ def jacobian_defect(spec, solution, stencil, config=DEFAULT_CONFIG):
 
 @dataclass
 class FamilyReport:
-    """Per-slice metrics and family-level verification results."""
+    """Per-slice metrics and family-level verification results.
+
+    disjointness holds lower bounds, not samples: min_distance over all disc
+    pairs, same_height_margin as the least certified fraction of |u_a - u_b|
+    over pairs at one parameter point, and the number of pairs.
+    """
 
     slices: list = field(default_factory=list)
     rate_fits: list = field(default_factory=list)
@@ -238,29 +223,31 @@ class FamilyReport:
         return asdict(self)
 
 
-def min_pairwise_distance(points_a, points_b):
-    aa = np.sum(points_a ** 2, axis=1)
-    bb = np.sum(points_b ** 2, axis=1)
-    d2 = aa[:, None] + bb[None, :] - 2.0 * points_a @ points_b.T
-    return float(np.sqrt(max(np.min(d2), 0.0)))
-
-
 def _disjointness(discs):
-    clouds = {key: d.ambient_points() for key, d in discs.items()}
-    keys = sorted(clouds)
+    """Certified lower bounds on the distances between the swept discs.
+
+    X is constant on a disc, and by the maximum principle the harmonic Re W
+    stays within osc = sup |Re W - r^2| on |zeta| = 1 of its level u = r^2;
+    W has degree below ntheta / 2, so sup_norm of its boundary samples is
+    that sup. Discs a and b are at least
+    max(|X_a - X_b|, |u_a - u_b| - osc_a - osc_b) apart.
+    """
+    levels = []
+    for (x, r), disc in discs.items():
+        w = disc.values(np.exp(1j * fourier.grid(disc.solution.cmap.n)))[1]
+        levels.append((x, r ** 2, fourier.sup_norm(w.real - r ** 2)))
     overall = np.inf
     same_x_margin = np.inf
-    for i, ka in enumerate(keys):
-        for kb in keys[i + 1:]:
-            dist = min_pairwise_distance(clouds[ka], clouds[kb])
-            overall = min(overall, dist)
-            if ka[0] == kb[0]:   # same parameter point, different radii
-                gap = abs(ka[1] ** 2 - kb[1] ** 2)
-                same_x_margin = min(same_x_margin, dist / gap)
+    for i, (xa, ua, osc_a) in enumerate(levels):
+        for xb, ub, osc_b in levels[i + 1:]:
+            height_gap = abs(ua - ub) - osc_a - osc_b
+            overall = min(overall, max(float(np.linalg.norm(np.subtract(xa, xb))), height_gap))
+            if xa == xb:
+                same_x_margin = min(same_x_margin, height_gap / abs(ua - ub))
     return {
         "min_distance": overall if np.isfinite(overall) else None,
         "same_height_margin": same_x_margin if np.isfinite(same_x_margin) else None,
-        "pairs": len(keys) * (len(keys) - 1) // 2,
+        "pairs": len(levels) * (len(levels) - 1) // 2,
     }
 
 

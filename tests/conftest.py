@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bishopdiscs import fourier
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceData, SliceParams, quadric_slice, trace_level_curve
@@ -35,6 +36,14 @@ def make_spec(lam=0.2, cubic=0.0, k7=0.05, n=2, max_degree=10, radius=0.2):
         p=BidegreeSeries.from_complex_dict(p_vals, nvars, max_degree),
         k=BidegreeSeries.from_complex_dict(k_vals, nvars, max_degree),
         validity_radius=radius)
+
+
+def interior_grid(n_radii, ntheta):
+    """Radial-angular grid of the closed unit disc, clustered at the rim."""
+    j = np.arange(1, n_radii + 1)
+    radii = np.sin(0.5 * np.pi * j / n_radii)
+    t = fourier.grid(ntheta)
+    return radii[:, None] * np.exp(1j * t)[None, :]
 
 
 @pytest.fixture(scope="session")

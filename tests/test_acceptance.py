@@ -12,13 +12,11 @@ from bishopdiscs import fourier
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
-from bishopdiscs.discs import (
-    build_disc, interior_grid, radial_derivative_of_u, radius_stencil, sweep,
-)
+from bishopdiscs.discs import build_disc, radial_derivative_of_u, radius_stencil, sweep
 from bishopdiscs.hilbert import origin_imaginary_residual
 from bishopdiscs.normal_form import normalize_full, recenter_cr_singularity
 from bishopdiscs.solver import solve_slice, solve_u
-from conftest import RATE_R_LIST, TIGHT_CONFIG, make_spec
+from conftest import RATE_R_LIST, TIGHT_CONFIG, interior_grid, make_spec
 from test_conformal import elliptic_integral_deriv
 from test_normal_form import full_raw_example, offset_raw
 

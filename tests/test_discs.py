@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from bishopdiscs import fourier, specio
+from bishopdiscs.config import PipelineConfig
 from bishopdiscs.curve import SliceParams
 from bishopdiscs.discs import (
     build_disc, cauchy_extend, derivative_bound_probe, extend_in_disc,
-    fit_loglog_slope, interior_grid, jacobian_defect, radius_stencil, sweep,
+    fit_loglog_slope, jacobian_defect, radius_stencil, sweep,
 )
 from bishopdiscs.errors import StencilOutOfRange, TargetTooCloseToBoundary
 from bishopdiscs.solver import solve_slice
-from conftest import RATE_R_LIST, TIGHT_CONFIG, make_spec
+from conftest import RATE_R_LIST, TIGHT_CONFIG, interior_grid, make_spec
 
 X0 = (0.0, 0.0)
 
@@ -183,9 +184,51 @@ def test_quadric_sweep_disjoint_and_nested():
     assert report.nested_curves
     assert report.disjointness["min_distance"] > 0.0
     assert report.disjointness["same_height_margin"] > 0.5
+    # K = 0: Re W is the constant r^2 on every disc, so the certified bound
+    # is the height gap of the two largest radii itself
+    assert abs(report.disjointness["min_distance"] - (0.1 ** 2 - 0.08 ** 2)) < 1e-15
+    assert abs(report.disjointness["same_height_margin"] - 1.0) < 1e-12
     for rec in report.slices:
         assert rec["norm_u"] < 1e-10
         assert rec["boundary_residual"] < 1e-10
+
+
+def ambient_samples(disc):
+    """(Re z, Im z, X, Re w, Im w) at the nodes of interior_grid(16, ntheta)."""
+    z, w = disc.values(interior_grid(16, disc.solution.cmap.n).ravel())
+    x = disc.solution.cmap.curve.slice.x
+    return np.column_stack([z.real, z.imag, *(np.full(len(z), v) for v in x), w.real, w.imag])
+
+
+def sampled_distance(points_a, points_b):
+    """Least distance between two point clouds, by direct differences."""
+    return min(float(np.sqrt(np.min(sum((block[:, k, None] - points_b[None, :, k]) ** 2
+                                        for k in range(points_b.shape[1])))))
+               for block in np.array_split(points_a, 64))
+
+
+def test_disjointness_bounds_lie_below_sampled_distances():
+    # ||dX|| = 0.003 lies between the height gaps 0.0024 and 0.0051, so some
+    # cross-X bounds come from X and some from the heights; ntheta 128 keeps
+    # the 2048-point clouds small
+    spec = make_spec(cubic=0.1)
+    grid, r_list = [X0, (0.003, 0.0)], [0.05, 0.07, 0.1]
+    config = PipelineConfig(ntheta=128)
+    report = sweep(spec, grid, r_list, config)
+    assert report.converged_count() == 6
+    clouds = {(x, r): ambient_samples(build_disc(
+        spec, SliceParams(x, r), solve_slice(spec, SliceParams(x, r), config)))
+        for x in grid for r in r_list}
+    keys = list(clouds)
+    sampled, margins = [], []
+    for i, ka in enumerate(keys):
+        for kb in keys[i + 1:]:
+            sampled.append(sampled_distance(clouds[ka], clouds[kb]))
+            if ka[0] == kb[0]:
+                margins.append(sampled[-1] / abs(ka[1] ** 2 - kb[1] ** 2))
+    assert report.disjointness["pairs"] == len(sampled) == 15
+    assert 0.0 < report.disjointness["min_distance"] <= min(sampled)
+    assert 0.99 < report.disjointness["same_height_margin"] <= min(margins)
 
 
 def test_l7_sweep_rates_and_jacobian():

@@ -4,7 +4,7 @@ remainders, trivial and order-7 families, decay-rate fits."""
 import numpy as np
 import pytest
 
-from bishopdiscs import fourier
+from bishopdiscs import fourier, solver
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
@@ -228,6 +228,21 @@ def test_center_height_normalization(rate_family):
 def test_contraction_evidence(rate_family):
     for sol in rate_family.values():
         assert sol.contraction_ok
+
+
+def test_contraction_evidence_sees_a_slow_step(monkeypatch):
+    # a first chord step cut to 0.3 delta leaves 0.7 of the first defect
+    # (1.5e-6 -> 1.0e-6 here); the later steps converge as before
+    exact = solver._chord_solver
+
+    def short_first_step(c_complex):
+        solve = exact(c_complex)
+        factors = iter([0.3])
+        return lambda b: next(factors, 1.0) * solve(b)
+    monkeypatch.setattr(solver, "_chord_solver", short_first_step)
+    sol = solve_slice(make_spec(lam=0.2, cubic=0.1), SliceParams(X0, 0.1))
+    assert sol.step_norms[1] > 0.5 * sol.step_norms[0]
+    assert not sol.contraction_ok
 
 
 def test_phi_decomposition(rate_family):
