@@ -16,8 +16,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from bishopdiscs import fourier, specio
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.curve import SliceParams
-from bishopdiscs.discs import fit_loglog_slope, radial_derivative_of_u, radius_stencil
-from bishopdiscs.solver import solve_slice
+from bishopdiscs.discs import fit_loglog_slope
+from bishopdiscs.solver import solve_slice, solve_tangent
 
 
 def main():
@@ -35,9 +35,8 @@ def main():
     norms, dr_norms = [], []
     for r in r_list:
         sol = solve_slice(spec, SliceParams(x0, r), config)
-        du = radial_derivative_of_u(radius_stencil(spec, sol, config))
         norms.append(sol.norm_u)
-        dr_norms.append(fourier.sup_norm(du))
+        dr_norms.append(fourier.sup_norm(solve_tangent(sol, dr=1.0).u))
         rows.append([r, sol.norm_u, dr_norms[-1], sol.iterations])
         print(f"r = {r:<6}  |U| = {sol.norm_u:.6e}  |dU/dr| = {dr_norms[-1]:.6e}  "
               f"({sol.iterations} iterations)")

@@ -233,7 +233,6 @@ def _csv_rows(spec, report):
     header = names + ["r", "iterations", "normU", "residual", "slopeU",
                       "slopeDrU", "minDisjointDistance", "jacobianDefect"]
     fits = {tuple(e["x"]): e for e in report.rate_fits}
-    min_dist = report.disjointness.get("min_distance")
     rows = [header]
     for rec in report.slices:
         x = tuple(rec["x"])
@@ -245,7 +244,7 @@ def _csv_rows(spec, report):
             rec.get("residual", ""),
             fit.get("slope_norm_u", ""),
             fit.get("slope_dr_u", ""),
-            min_dist if min_dist is not None else "",
+            report.disc_distances.get((x, rec["r"]), ""),
             rec.get("jacobian_defect", ""),
         ])
     return rows

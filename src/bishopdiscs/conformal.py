@@ -24,6 +24,10 @@ inverse of the continuous step operator, a Riemann-Hilbert problem solved
 by two conjugations (Wegmann 1986), so k is 1-14 where the unpreconditioned
 step took 19-65.
 
+The same step operator gives the map's derivative along the slice
+parameters (map_tangent): linearising the relation at the solved map, the
+correspondence rate psi' solves one Newton step's equation.
+
 Resolution caveat: for eccentricities near the elliptic limit (quadratic
 coefficient -> 1/2) the true map develops boundary crowding and its
 correspondence is not resolvable on a fixed grid; the discrete solution is
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import fourier
 from .errors import NoConvergence
-from .curve import BoundaryCurve, log_radial_slope, radial_root
+from .curve import BoundaryCurve, log_radial_slope, log_radius_tangent, radial_root
 
 MAP_TOL = 1e-11        # sup norm of the correspondence residual
 MAP_MAX_ITER = 200     # Newton steps before the solve counts as stalled
@@ -238,3 +242,21 @@ def riemann_map(curve):
         univalence_margin=margin,
         iterations=iterations,
     )
+
+
+def map_tangent(cmap, dr, dqp):
+    """Rate z' of the boundary points along a parameter direction that moves
+    r at rate dr and the slice matrix qp at rate dqp.
+
+    The Theodorsen relation linearised at the solved map: psi' solves
+    psi' - H[slope psi'] = H[d log rho], one Newton step's solve (H drops
+    d log r), and z = rho(theta) e^{i theta} moves by
+    z' = z (d log rho + (slope + i) psi').
+    """
+    theta = cmap.correspondence
+    rho = np.abs(cmap.boundary_z)
+    data = cmap.curve.data
+    dlog_rho = log_radius_tangent(data, rho, theta, cmap.r, dr, dqp)
+    slope = log_radial_slope(data, rho, theta)
+    dpsi = _newton_step(slope, fourier.conjugate_samples(dlog_rho))
+    return cmap.boundary_z * (dlog_rho + (slope + 1j) * dpsi)

@@ -155,6 +155,15 @@ def log_radial_slope(data, rho, theta):
     return w.imag / w.real
 
 
+def log_radius_tangent(data, rho, theta, r, dr, dqp):
+    """d log rho / dp at fixed theta along a parameter direction p that moves
+    r at rate dr and the slice matrix qp at rate dqp, by implicit
+    differentiation of Re qp(rho e^{i theta}) = r^2:
+    (2 r dr - Re dqp(z)) / (2 rho Re w), w = qp_z e^{i theta}."""
+    w = _ray_derivative(data, rho, theta)
+    return (2.0 * r * dr - eval_matrix(dqp, rho * np.exp(1j * theta)).real) / (2.0 * rho * w.real)
+
+
 def trace_level_curve(data, slice_params, config=DEFAULT_CONFIG):
     """Sample the boundary of the slice with coefficients data (SliceData)
     at config.ntheta equispaced polar angles."""

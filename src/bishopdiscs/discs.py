@@ -6,7 +6,8 @@ their Fourier coefficients (equivalently, the Cauchy integral over the
 boundary). Families swept over (X, r) are checked for boundary attachment,
 mutual disjointness (certified by the maximum principle), nested slice
 curves, decay rates of the solved norms, and the near-identity behaviour of
-the slice map at the origin.
+the slice map at the origin. Each slice is solved once; its derivatives in
+r and X are the slice tangents of solver.solve_tangent, not re-solves.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -15,13 +16,10 @@ import numpy as np
 
 from . import fourier
 from .config import DEFAULT_CONFIG
-from .curve import R_MAX, SliceParams
-from .errors import PipelineError, StencilOutOfRange, TargetTooCloseToBoundary
+from .curve import SliceParams
+from .errors import PipelineError, TargetTooCloseToBoundary
 from .hilbert import norm_probe
-from .solver import DiscSolution, solve_slice
-
-FD_R_FACTOR = 20.0     # radius step of the finite differences is r / FD_R_FACTOR
-FD_X_STEP = 1e-3       # parameter step of the finite differences
+from .solver import DiscSolution, solve_slice, solve_tangent
 
 
 # --------------------------------------------------------------------------
@@ -112,86 +110,63 @@ def fit_loglog_slope(values_x, values_y):
     return float(np.polyfit(np.log(values_x), np.log(values_y), 1)[0])
 
 
-def radius_stencil(spec, solution, config=DEFAULT_CONFIG):
-    """Step h = r / FD_R_FACTOR of the radius differences and the slices
-    solved at r - h and r + h next to the solved one."""
-    slice_params = solution.cmap.curve.slice
-    r = slice_params.r
-    h = r / FD_R_FACTOR
-    if not (0.0 < r - h and r + h <= R_MAX):
-        raise StencilOutOfRange(f"radius stencil [{r - h}, {r + h}] leaves (0, r_max]; reduce r")
-    lo = solve_slice(spec, SliceParams(slice_params.x, r - h), config)
-    hi = solve_slice(spec, SliceParams(slice_params.x, r + h), config)
-    return h, lo, hi
+def slice_tangents(spec, solution):
+    """Tangents (solver.SliceTangent) of a solved slice along r and along
+    each axis of X, the latter from the exact X-derivatives of the fits."""
+    x = solution.cmap.curve.slice.x
+    return (solve_tangent(solution, dr=1.0),
+            [solve_tangent(solution, 0.0, *spec.slice_derivative(x, axis))
+             for axis in range(len(x))])
 
 
-def radial_derivative_of_u(stencil):
-    """dU/dr by the central difference on a radius_stencil (h, lo, hi)."""
-    h, lo, hi = stencil
-    return (hi.u_samples - lo.u_samples) / (2.0 * h)
+def center_rates(solution, tangent):
+    """Rates of the disc's centre values Z(0) and W(0) along a slice tangent.
+
+    Both are Cauchy sums sum g z_t / z / (i n) over the boundary samples;
+    the sums are differentiated term by term, with z_t' the spectral t-derivative
+    of z'.
+    """
+    cmap = solution.cmap
+    z, z_t, dz = cmap.boundary_z, cmap.boundary_dz, tangent.z
+    dz_t = fourier.derivative(dz)
+
+    def rate(g, dg):
+        return complex(fourier.cauchy_integral(dg, z, z_t, 0.0)[0]
+                       + fourier.cauchy_integral(g, z, dz_t, 0.0)[0]
+                       - fourier.cauchy_integral(g * dz / z, z, z_t, 0.0)[0])
+
+    return (rate(z * (1.0 + solution.f_samples), tangent.zc),
+            rate(solution.b_samples, tangent.b))
 
 
-def derivative_bound_probe(spec, solution, j, s, config=DEFAULT_CONFIG):
-    """Sup norm of the theta/radius derivatives of the disc correction F."""
-    if j + 2 * s > spec.l - 4:
-        raise ValueError(f"probe order (j={j}, s={s}) outside j + 2s <= l - 4")
-    if s > 2:
-        raise ValueError("radial derivative order above 2 is not implemented")
-    f = solution.f_samples
-    if s > 0:
-        h, lo, hi = radius_stencil(spec, solution, config)
-        if s == 1:
-            f = (hi.f_samples - lo.f_samples) / (2.0 * h)
-        else:
-            f = (hi.f_samples - 2.0 * f + lo.f_samples) / h ** 2
-    if j > 0:
-        f = fourier.derivative(f, j)
-    return fourier.sup_norm(f)
-
-
-def jacobian_defect(spec, solution, stencil, config=DEFAULT_CONFIG):
+def jacobian_defect(solution, tangents):
     """Max deviation of the slice-map derivative at the origin from the
-    flat inclusion (z, X, u) -> (z, X, u + 0 i), by central differences; in X
-    one-sided against the solved slice on an axis where one of X +- FD_X_STEP
-    leaves the validity ball (where both do, ValidityEscape is raised); in u
-    across the slice's radius stencil (h, lo, hi) from radius_stencil."""
-    slice_params = solution.cmap.curve.slice
-    x = np.asarray(slice_params.x, dtype=float)
-    r = slice_params.r
-    h, lo, hi = stencil
-
-    def center_values(sol, z_targets):
-        zc = sol.cmap.boundary_z * (1.0 + sol.f_samples)
-        return (cauchy_extend(sol.cmap, zc, z_targets),
-                cauchy_extend(sol.cmap, sol.b_samples, z_targets))
+    flat inclusion (z, X, u) -> (z, X, u + 0 i). The z block takes central
+    differences of the extension at +-r/20 and +-i r/20; the X and u blocks
+    read the centre rates along the slice tangents (r_tangent, x_tangents)
+    of slice_tangents, with du = 2 r dr."""
+    r_tangent, x_tangents = tangents
+    h = solution.cmap.r / 20.0
+    zc = solution.cmap.boundary_z * (1.0 + solution.f_samples)
+    targets = [h, -h, 1j * h, -1j * h]
+    z_ext = cauchy_extend(solution.cmap, zc, targets)
+    w_ext = cauchy_extend(solution.cmap, solution.b_samples, targets)
 
     defects = []
     # z block: expect dZ/dz = 1, dW/dz = 0 (Wirtinger via x/y differences)
-    z_ext, w_ext = center_values(solution, [h, -h, 1j * h, -1j * h])
     dz_dx = (z_ext[0] - z_ext[1]) / (2 * h)
     dz_dy = (z_ext[2] - z_ext[3]) / (2 * h)
     dw_dx = (w_ext[0] - w_ext[1]) / (2 * h)
     dw_dy = (w_ext[2] - w_ext[3]) / (2 * h)
     defects.extend([abs(dz_dx - 1.0), abs(dz_dy - 1j), abs(dw_dx), abs(dw_dy)])
     # X block: expect dZ/dX = dW/dX = 0
-    hx = FD_X_STEP
-    for axis in range(len(x)):
-        shift = np.zeros_like(x)
-        shift[axis] = hx
-        ends = [x + shift, x - shift]
-        if any(spec.contains(p) for p in ends):   # the end outside is the slice itself
-            ends = [p if spec.contains(p) else x for p in ends]
-        sols = [solution if p is x else solve_slice(spec, SliceParams(tuple(p), r), config)
-                for p in ends]
-        (zp, wp), (zm, wm) = [center_values(sol, [0.0]) for sol in sols]
-        step = hx * sum(p is not x for p in ends)
-        defects.append(abs(zp[0] - zm[0]) / step)
-        defects.append(abs(wp[0] - wm[0]) / step)
-    # u direction: expect dZ/du = 0 and dW/du = 1; du = (r + h)^2 - (r - h)^2
-    du = 4.0 * r * h
-    (zp, wp), (zm, wm) = [center_values(sol, [0.0]) for sol in (hi, lo)]
-    defects.append(abs(zp[0] - zm[0]) / du)
-    defects.append(abs((wp[0] - wm[0]) / du - 1.0))
+    for tangent in x_tangents:
+        defects.extend(abs(v) for v in center_rates(solution, tangent))
+    # u direction: expect dZ/du = 0 and dW/du = 1, du = 2 r dr
+    dz_dr, dw_dr = center_rates(solution, r_tangent)
+    du_dr = 2.0 * solution.cmap.r
+    defects.append(abs(dz_dr) / du_dr)
+    defects.append(abs(dw_dr / du_dr - 1.0))
     return float(max(defects))
 
 
@@ -215,12 +190,16 @@ class FamilyReport:
     jacobian_trend: list = field(default_factory=list)
     hilbert_gaps: list = field(default_factory=list)
     failures: list = field(default_factory=list)
+    # least pair bound of each disc, keyed by (x, r): a CSV column, not in to_dict
+    disc_distances: dict = field(default_factory=dict)
 
     def converged_count(self):
         return sum(1 for s in self.slices if s["converged"])
 
     def to_dict(self):
-        return asdict(self)
+        out = asdict(self)
+        del out["disc_distances"]
+        return out
 
 
 def _disjointness(discs):
@@ -230,34 +209,40 @@ def _disjointness(discs):
     stays within osc = sup |Re W - r^2| on |zeta| = 1 of its level u = r^2;
     W has degree below ntheta / 2, so sup_norm of its boundary samples is
     that sup. Discs a and b are at least
-    max(|X_a - X_b|, |u_a - u_b| - osc_a - osc_b) apart.
+    max(|X_a - X_b|, |u_a - u_b| - osc_a - osc_b) apart. Returns the
+    family summary and, per disc key, the least bound over its pairs; at
+    least two discs are needed.
     """
     levels = []
     for (x, r), disc in discs.items():
         w = disc.values(np.exp(1j * fourier.grid(disc.solution.cmap.n)))[1]
         levels.append((x, r ** 2, fourier.sup_norm(w.real - r ** 2)))
-    overall = np.inf
+    nearest = [np.inf] * len(levels)
     same_x_margin = np.inf
     for i, (xa, ua, osc_a) in enumerate(levels):
-        for xb, ub, osc_b in levels[i + 1:]:
+        for j, (xb, ub, osc_b) in enumerate(levels[i + 1:], i + 1):
             height_gap = abs(ua - ub) - osc_a - osc_b
-            overall = min(overall, max(float(np.linalg.norm(np.subtract(xa, xb))), height_gap))
+            bound = max(float(np.linalg.norm(np.subtract(xa, xb))), height_gap)
+            nearest[i] = min(nearest[i], bound)
+            nearest[j] = min(nearest[j], bound)
             if xa == xb:
                 same_x_margin = min(same_x_margin, height_gap / abs(ua - ub))
-    return {
-        "min_distance": overall if np.isfinite(overall) else None,
+    summary = {
+        "min_distance": min(nearest),
         "same_height_margin": same_x_margin if np.isfinite(same_x_margin) else None,
         "pairs": len(levels) * (len(levels) - 1) // 2,
     }
+    return summary, dict(zip(discs, nearest))
 
 
 def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
     """Solve and assemble every slice, then run the family checks.
 
     Per-slice failures are recorded, never raised; rate fits need at least
-    three radii. One radius stencil per slice serves the Jacobian's u
-    direction and dU/dr. The transform probe records, per parameter point,
-    the gap between the slice transform and its quadratic-model transform.
+    three radii. Each slice is solved once: its tangents along r and X
+    (slice_tangents) serve the Jacobian's X and u blocks and dU/dr. The
+    transform probe records, per parameter point, the gap between the slice
+    transform and its quadratic-model transform.
     """
     r_list = sorted(float(r) for r in r_list)
     x_grid = [tuple(float(v) for v in x) for x in x_grid]
@@ -272,9 +257,9 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
                 sol = solve_slice(spec, sp, config)
                 disc = build_disc(spec, sp, sol, config)
                 # the whole per-slice battery runs before the slice counts as converged
-                stencil = radius_stencil(spec, sol, config)
-                defect = jacobian_defect(spec, sol, stencil, config)
-                dr_norms[(x, r)] = fourier.sup_norm(radial_derivative_of_u(stencil))
+                tangents = slice_tangents(spec, sol)
+                defect = jacobian_defect(sol, tangents)
+                dr_norms[(x, r)] = fourier.sup_norm(tangents[0].u)
                 record.update({
                     "converged": True,
                     "iterations": sol.iterations,
@@ -315,7 +300,7 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
             report.hilbert_gaps.append({"x": list(x), "r": rs[-1], "gap": gap})
 
     if len(discs) >= 2:
-        report.disjointness = _disjointness(discs)
+        report.disjointness, report.disc_distances = _disjointness(discs)
 
     # jacobian defect trend over r (max across the grid)
     for r in r_list:

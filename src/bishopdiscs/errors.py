@@ -57,10 +57,6 @@ class TargetTooCloseToBoundary(PipelineError):
     """No extension method meets the error budget at the requested point."""
 
 
-class StencilOutOfRange(PipelineError):
-    """A finite-difference stencil leaves the admissible parameter range."""
-
-
 class SpecParseError(PipelineError):
     """Manifold description file could not be parsed."""
 

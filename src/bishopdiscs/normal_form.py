@@ -164,6 +164,16 @@ class ManifoldSpec:
         qp = quadric_matrix(lam_val, self.max_degree + 1) + self.p.fix_parameters(xa)
         return SliceData.from_matrices(lam_val, qp, self.k.fix_parameters(xa))
 
+    def slice_derivative(self, x, axis):
+        """Derivatives in x[axis] of the slice matrices (qp, k) at x, exact on
+        the parameter fits (the sample table has none); q is affine in lam."""
+        xa = np.asarray(x, dtype=float)
+        size = self.max_degree + 1
+        dlam = self.lam.derivative(axis).evaluate(xa)
+        dqp = (quadric_matrix(dlam, size) - quadric_matrix(0.0, size)
+               + self.p.derivative(axis).fix_parameters(xa))
+        return dqp, self.k.derivative(axis).fix_parameters(xa)
+
     def validate(self):
         if self.l < 7:
             raise SchemaViolation(f"order parameter l must be >= 7, got {self.l}")

@@ -90,6 +90,14 @@ class ParamPoly:
             total += term
         return total
 
+    def derivative(self, axis):
+        """Partial derivative in the parameter x[axis]."""
+        terms = {}
+        for exp, c in self.terms.items():
+            if exp[axis]:
+                terms[exp[:axis] + (exp[axis] - 1,) + exp[axis + 1:]] = c * exp[axis]
+        return ParamPoly(self.nvars, self.degree, terms)
+
     def __eq__(self, other):
         return (isinstance(other, ParamPoly) and self.nvars == other.nvars
                 and self.terms == other.terms)
@@ -167,6 +175,12 @@ class BidegreeSeries:
                 return False
         return True
 
+    def derivative(self, axis):
+        """Series of the coefficients' partial derivatives in x[axis]."""
+        coeffs = {jk: ComplexParam(c.re.derivative(axis), c.im.derivative(axis))
+                  for jk, c in self.coeffs.items()}
+        return BidegreeSeries(self.nvars, self.max_degree, self.param_degree, coeffs)
+
     def fix_parameters(self, x):
         """Slice matrix at X: mat[j, k] = c[j,k](X), of size max_degree + 1."""
         mat = np.zeros((self.max_degree + 1, self.max_degree + 1), dtype=complex)
@@ -214,6 +228,26 @@ def eval_matrix(mat, z):
     zbp = powers(np.conj(z), cols.max())
     for j, k in zip(rows, cols):
         total = total + mat[j, k] * zp[j] * zbp[k]
+    return total
+
+
+def eval_deviation(mat, z, f):
+    """S(z (1 + f)) - S(z) for the matrix S = mat without cancellation: the sum
+    of mat[j,k] z^j zbar^k ((1+f)^j (1+conj f)^k - 1) over the nonzero entries,
+    with (1+f)^j - 1 from the exact recurrence g[j] = g[j-1] (1+f) + f."""
+    f = np.asarray(f, dtype=complex)
+    total = np.zeros_like(f)
+    rows, cols = np.nonzero(mat)
+    if not len(rows):
+        return total
+    g = [np.zeros_like(f)]
+    for _ in range(max(rows.max(), cols.max())):
+        g.append(g[-1] * (1.0 + f) + f)
+    zp = powers(z, rows.max())
+    zbp = powers(np.conj(z), cols.max())
+    for j, k in zip(rows, cols):
+        bracket = g[j] * np.conj(g[k] + 1.0) + np.conj(g[k])
+        total = total + mat[j, k] * zp[j] * zbp[k] * bracket
     return total
 
 

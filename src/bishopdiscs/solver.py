@@ -17,6 +17,10 @@ F = 0 but for the O(r^5) K term. Omega - 1 is evaluated cancellation-free
 via (1+F)^j (1+Fbar)^k - 1 products so that converged values sit at the
 arithmetic noise floor of the small quantities themselves, not of the O(1)
 level function.
+
+solve_tangent differentiates a solved slice along r or X without solving
+again: the map's boundary points move by conformal.map_tangent, and U' solves
+the linearised fixed-point equation by the same preconditioned chord steps.
 """
 
 from dataclasses import dataclass
@@ -25,12 +29,14 @@ import numpy as np
 
 from . import fourier
 from .config import DEFAULT_CONFIG
-from .conformal import KRYLOV_MAX_ITER, KRYLOV_TOL, gmres, riemann_map
+from .conformal import KRYLOV_MAX_ITER, KRYLOV_TOL, gmres, map_tangent, riemann_map
 from .curve import trace_level_curve
 from .errors import NoConvergence, NonzeroWinding, ValidityEscape, ZeroOnCurve
-from .series import eval_matrix, powers
+from .series import eval_deviation, eval_matrix, matrix_derivative_z
 
 SOLVE_MAX_ITER = 100
+TANGENT_RTOL = 1e-13   # residual of the linearised equation, relative to its right side
+TANGENT_MAX_SWEEPS = 10
 F_CAP = 0.5            # admissible sup |F| along the boundary
 Z_ESCAPE = 0.5         # admissible |z| for series evaluation
 
@@ -116,19 +122,7 @@ def omega_deviation(f, cmap):
     z = cmap.boundary_z
     if np.max(np.abs(z * (1.0 + np.abs(f)))) > Z_ESCAPE:
         raise ValidityEscape("evaluation point left the series validity region")
-    mat = cmap.curve.data.qp
-    rows, cols = np.nonzero(mat)    # j ascending, then k; qp is never zero
-    # g[j] = (1+F)^j - 1 via the exact recurrence g[j] = g[j-1] (1+F) + F
-    g = [np.zeros_like(f)]
-    for _ in range(max(rows.max(), cols.max())):
-        g.append(g[-1] * (1.0 + f) + f)
-    zp = powers(z, rows.max())
-    zbp = powers(np.conj(z), cols.max())
-    total = np.zeros_like(f)
-    for j, k in zip(rows, cols):
-        bracket = g[j] * np.conj(g[k] + 1.0) + np.conj(g[k])
-        total = total + mat[j, k] * zp[j] * zbp[k] * bracket
-    return total.real / cmap.r ** 2
+    return eval_deviation(cmap.curve.data.qp, z, f).real / cmap.r ** 2
 
 
 @dataclass(frozen=True)
@@ -217,3 +211,68 @@ def solve_u(cmap, config=DEFAULT_CONFIG):
         contraction_ok=contraction_ok,
         center_height_residual=abs(center.real - r ** 2),
     )
+
+
+class SliceTangent:
+    """Rates of a solved slice's boundary samples along one parameter
+    direction: u = U', f = F', z (the map's boundary points), zc (the disc's
+    z component z (1 + F)) and b (its height component). A plain class: a
+    dataclass would add its set-up to every import of the package."""
+
+    def __init__(self, u, f, z, zc, b):
+        self.u, self.f, self.z, self.zc, self.b = u, f, z, zc, b
+
+
+def solve_tangent(solution, dr=0.0, dqp=None, dk=None):
+    """Derivative of a solved slice along the parameter direction that moves
+    r at rate dr and the slice matrices qp, k at rates dqp, dk (None: 0).
+
+    The solved U is the fixed point of G = U - C* E / r^2, with the boundary
+    equation E = qp(zeta) - qp(z) + H[K(zeta)] (real parts, zeta = z (1 + F))
+    as omega_deviation evaluates it. Hence U' = (I - G_U)^-1 G_p solves
+    E_U U' = -E_p. The boundary points move by z' (conformal.map_tangent). D is
+    the constant sign of C, so F' = (U' + i H[U']) / D. The qp part of E_p is
+    taken cancellation-free: the matrix of z qp_z has entries j qp[j, k], so
+    d/dp (qp(zeta) - qp(z)) at fixed F is
+    eval_deviation(dqp) + 2 (z'/z) eval_deviation(j qp).
+    I - G_U is the chord operator I - s H up to O(F) and the K term, so a few
+    chord sweeps preconditioned by _chord_solver converge. A direction that
+    moves nothing costs no Krylov product and gives exact zeros.
+    """
+    cmap, ops, f = solution.cmap, solution.ops, solution.f_samples
+    data, r, z = cmap.curve.data, cmap.r, cmap.boundary_z
+    dqp = np.zeros_like(data.qp) if dqp is None else dqp
+    dk = np.zeros_like(data.k) if dk is None else dk
+    dz = map_tangent(cmap, dr, dqp)
+    zc = z * (1.0 + f)
+    qp_z = data.eval_qp_dz(zc)
+    k_z = eval_matrix(matrix_derivative_z(data.k), zc)
+    rows = np.arange(len(data.qp))[:, None]
+    # rates of Re qp(zeta) - Re qp(z) and Re K(zeta) as z moves at fixed F
+    re_p = np.real(eval_deviation(dqp, z, f) + 2.0 * dz / z * eval_deviation(rows * data.qp, z, f))
+    im_p = 2.0 * np.real(k_z * dz * (1.0 + f)) + eval_matrix(dk, zc).real
+
+    def rates(du):
+        """F' for U' = du, and the rates of Re qp(zeta) and Re K(zeta) it causes."""
+        df = (du + 1j * fourier.conjugate_samples(du)) / ops.d_samples
+        return df, 2.0 * np.real(qp_z * z * df), 2.0 * np.real(k_z * z * df)
+
+    def residual(re_u, im_u):
+        """G_p - (I - G_U) U' = -C* (E_p + E_U U') / r^2."""
+        return -ops.c_star / r ** 2 * (re_p + re_u + fourier.conjugate_samples(im_p + im_u))
+
+    chord = _chord_solver(ops.c_complex)
+    tol = TANGENT_RTOL * np.max(np.abs(residual(0.0, 0.0)))
+    du = np.zeros(cmap.n)
+    for _ in range(TANGENT_MAX_SWEEPS):
+        df, re_u, im_u = rates(du)
+        res = residual(re_u, im_u)
+        if np.max(np.abs(res)) <= tol:
+            break
+        du = du + chord(res)
+    else:
+        raise NoConvergence(
+            f"tangent sweeps not converged: residual {np.max(np.abs(res)):.3e} "
+            f"against {tol:.3e} (reduce r or the tail size)")
+    return SliceTangent(u=du, f=df, z=dz, zc=dz * (1.0 + f) + z * df,
+                        b=2.0 * r * dr + re_p + re_u + 1j * (im_p + im_u))

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from bishopdiscs import fourier
-from bishopdiscs.config import PipelineConfig
+from bishopdiscs.config import DEFAULT_CONFIG, PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceData, SliceParams, quadric_slice, trace_level_curve
 from bishopdiscs.normal_form import ManifoldSpec
 from bishopdiscs.series import BidegreeSeries, ParamPoly, quadric_matrix
-from bishopdiscs.solver import solve_slice
+from bishopdiscs.solver import solve_slice, solve_tangent
 
 # r sweep used by the decay-rate experiments
 RATE_R_LIST = (0.02, 0.03, 0.045, 0.068, 0.1)
@@ -44,6 +44,28 @@ def interior_grid(n_radii, ntheta):
     radii = np.sin(0.5 * np.pi * j / n_radii)
     t = fourier.grid(ntheta)
     return radii[:, None] * np.exp(1j * t)[None, :]
+
+
+def derivative_bound_probe(spec, solution, j, s, config=DEFAULT_CONFIG):
+    """Sup norm of d^j/dtheta^j d^s/dr^s of the disc correction F, for
+    j + 2s <= l - 4. s = 1 reads the radius tangent; s = 2 differences the
+    radius tangents of the slices solved at r +- r/20."""
+    if j + 2 * s > spec.l - 4:
+        raise ValueError(f"probe order (j={j}, s={s}) outside j + 2s <= l - 4")
+    if s > 2:
+        raise ValueError("radial derivative order above 2 is not implemented")
+    f = solution.f_samples
+    if s == 1:
+        f = solve_tangent(solution, dr=1.0).f
+    elif s == 2:
+        x, r = solution.cmap.curve.slice.x, solution.cmap.curve.slice.r
+        h = r / 20.0
+        lo, hi = (solve_tangent(solve_slice(spec, SliceParams(x, rr), config), dr=1.0).f
+                  for rr in (r - h, r + h))
+        f = (hi - lo) / (2.0 * h)
+    if j > 0:
+        f = fourier.derivative(f, j)
+    return fourier.sup_norm(f)
 
 
 @pytest.fixture(scope="session")

@@ -37,6 +37,12 @@ def test_sweep_order7_reports_rate(tmp_path):
         "x2", "y2", "r", "iterations", "normU", "residual", "slopeU",
         "slopeDrU", "minDisjointDistance", "jacobianDefect"]
     assert len(csv_text) == 1 + 5
+    # each row carries its own disc's least pair bound; the family's least
+    # one is the report's min_distance
+    column = csv_text[0].split(",").index("minDisjointDistance")
+    bounds = [float(line.split(",")[column]) for line in csv_text[1:]]
+    assert min(bounds) == report["report"]["disjointness"]["min_distance"]
+    assert bounds[-1] > bounds[0]
 
 
 def test_sweep_honours_tolerance(tmp_path):

@@ -10,12 +10,14 @@ from bishopdiscs import fourier, specio
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.curve import SliceParams
 from bishopdiscs.discs import (
-    build_disc, cauchy_extend, derivative_bound_probe, extend_in_disc,
-    fit_loglog_slope, jacobian_defect, radius_stencil, sweep,
+    build_disc, cauchy_extend, center_rates, extend_in_disc, fit_loglog_slope,
+    jacobian_defect, slice_tangents, sweep,
 )
-from bishopdiscs.errors import StencilOutOfRange, TargetTooCloseToBoundary
+from bishopdiscs.errors import TargetTooCloseToBoundary
 from bishopdiscs.solver import solve_slice
-from conftest import RATE_R_LIST, TIGHT_CONFIG, interior_grid, make_spec
+from conftest import (
+    RATE_R_LIST, TIGHT_CONFIG, derivative_bound_probe, interior_grid, make_spec,
+)
 
 X0 = (0.0, 0.0)
 
@@ -124,7 +126,7 @@ def test_probe_zero_for_trivial_family():
     sol = solve_slice(spec, SliceParams(X0, 0.1))
     for j, s in [(0, 0), (1, 0), (0, 1)]:
         assert derivative_bound_probe(spec, sol, j, s) < 1e-12
-    # l = 8 admits s = 2; its stencil r +- r/20 = [0.1758, 0.1943] lies in (0, r_max]
+    # l = 8 admits s = 2, which differences the tangents at r +- r/20 = 0.1758, 0.1943
     spec = dataclasses.replace(spec, l=8)
     sol = solve_slice(spec, SliceParams(X0, 0.185))
     assert derivative_bound_probe(spec, sol, 0, 2) < 1e-12
@@ -149,17 +151,31 @@ def test_probe_range_guards(rate_family):
     spec = make_spec()
     with pytest.raises(ValueError):
         derivative_bound_probe(spec, rate_family[0.1], 2, 1)
-    with pytest.raises(StencilOutOfRange):
-        derivative_bound_probe(spec, solve_slice(spec, SliceParams(X0, 0.2)), 0, 1)
+    # the radius tangent needs no stencil, so s = 1 is finite at r = r_max
+    probe = derivative_bound_probe(spec, solve_slice(spec, SliceParams(X0, 0.2)), 0, 1)
+    assert np.isfinite(probe) and probe > 0.0
 
 
 def test_jacobian_defect_small_and_shrinking():
     spec = make_spec(cubic=0.1)
     sols = [solve_slice(spec, SliceParams(X0, r), TIGHT_CONFIG) for r in (0.1, 0.03)]
-    defects = [jacobian_defect(spec, sol, radius_stencil(spec, sol, TIGHT_CONFIG), TIGHT_CONFIG)
-               for sol in sols]
+    defects = [jacobian_defect(sol, slice_tangents(spec, sol)) for sol in sols]
     assert defects[1] < defects[0]
     assert defects[1] < 0.05
+
+
+def test_tangent_blocks_of_the_jacobian_at_noise_floor():
+    # criterion 6's spec has X-independent coefficients, so its 36 slices
+    # are these four radii: the X block is exactly 0 and the u block read
+    # from the radius tangent sits at the rounding level
+    spec = make_spec(lam=0.2, cubic=0.1, k7=0.05)
+    for r in (0.03, 0.05, 0.07, 0.1):
+        sol = solve_slice(spec, SliceParams(X0, r))
+        r_tangent, x_tangents = slice_tangents(spec, sol)
+        assert all(center_rates(sol, t) == (0j, 0j) for t in x_tangents)
+        dz_dr, dw_dr = center_rates(sol, r_tangent)
+        assert abs(dz_dr) / (2 * r) <= 1e-15
+        assert abs(dw_dr / (2 * r) - 1.0) <= 1e-15
 
 
 def test_jacobian_probe_is_sensitive(rate_family):
@@ -167,7 +183,7 @@ def test_jacobian_probe_is_sensitive(rate_family):
     spec = make_spec()
     sol = rate_family[0.1]
     shifted = dataclasses.replace(sol, f_samples=sol.f_samples + 1e-4)
-    defect = jacobian_defect(spec, shifted, radius_stencil(spec, sol, TIGHT_CONFIG), TIGHT_CONFIG)
+    defect = jacobian_defect(shifted, slice_tangents(spec, sol))
     assert 0.5e-4 < defect < 2e-4
 
 
@@ -251,35 +267,31 @@ def test_sweep_records_failures_and_continues():
     assert len(report.failures) == 1
     assert "ValidityEscape" in report.failures[0]["error"]
     assert report.converged_count() == 1
-    # on the rim of the validity ball the slices solve, but the X stencil of
-    # the jacobian probe leaves the ball on both sides of the second axis:
-    # such a slice has not converged and enters no family check
+    # on the rim of the validity ball the slices solve and their battery
+    # runs: the X tangents need no parameter point outside the ball
     x_rim = (0.2, 0.0)
     perturbed = specio.load(specio.resolve_spec_path("builtin:perturbed"))
     report = sweep(perturbed, [x_rim, X0], [0.05, 0.1])
-    failed = {(tuple(f["x"]), f["r"]) for f in report.failures}
-    assert failed == {(tuple(rec["x"]), rec["r"]) for rec in report.slices
-                      if not rec["converged"]}
-    assert failed == {(x_rim, 0.05), (x_rim, 0.1)}
-    assert all("ValidityEscape" in f["error"] for f in report.failures)
-    assert report.disjointness["pairs"] == 1
-    assert [tuple(e["x"]) for e in report.hilbert_gaps] == [X0]
+    assert report.failures == []
+    assert report.converged_count() == 4
+    assert report.disjointness["pairs"] == 6
+    assert [tuple(e["x"]) for e in report.hilbert_gaps] == [x_rim, X0]
 
 
-def test_radius_stencil_past_r_max_fails_the_slice_not_the_sweep():
-    # r + r/20 = 0.20013 leaves (0, r_max = 0.2]: the slice at 0.1906 fails
-    # inside its battery, and with two radii left no rate fit runs
+def test_slices_up_to_r_max_converge():
+    # the radius tangent needs no r + r/20 stencil, so a slice at r = 0.1906
+    # (r + r/20 = 0.20013 > r_max) or at r_max itself runs its whole battery
     order7 = specio.load(specio.resolve_spec_path("builtin:order7"))
-    report = sweep(order7, [(0.0,) * order7.nvars], [0.05, 0.1, 0.1906])
-    assert [(f["r"], f["error"].split(":")[0]) for f in report.failures] == [
-        (0.1906, "StencilOutOfRange")]
-    assert report.converged_count() == 2
-    assert report.rate_fits == []
+    report = sweep(order7, [(0.0,) * order7.nvars], [0.05, 0.1, 0.1906, 0.2])
+    assert report.failures == []
+    assert report.converged_count() == 4
+    assert all(np.isfinite(rec["jacobian_defect"]) for rec in report.slices)
+    assert np.isfinite(report.rate_fits[0]["slope_dr_u"])
 
 
-def test_jacobian_probe_is_one_sided_at_the_rim():
-    # X + FD_X_STEP e_0 = (0.2005, 0) leaves the validity ball 0.2 and
-    # X - FD_X_STEP e_0 stays inside: the probe differences one-sidedly
+def test_jacobian_probe_at_the_rim():
+    # X = (0.1995, 0) lies within 1e-3 of the rim of the validity ball 0.2:
+    # the X block reads the tangents, with no parameter point beyond the rim
     perturbed = specio.load(specio.resolve_spec_path("builtin:perturbed"))
     report = sweep(perturbed, [(0.1995, 0.0)], [0.05, 0.1])
     assert report.failures == []

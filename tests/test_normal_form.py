@@ -312,6 +312,20 @@ def test_lambda_continuity(normalized_example):
         assert abs(rec.lam - lam0) <= 5.0 * norm + 1e-12
 
 
+def test_slice_derivative_matches_the_fits(normalized_example):
+    # the fits have degree 2 in X, so central differences of slice_at off
+    # the sample table are exact up to rounding
+    raw, spec, change = normalized_example
+    x, h = np.array([0.03, -0.02]), 1e-4
+    assert np.max(np.abs(spec.slice_derivative(tuple(x), 0)[0])) > 0.01
+    for axis in range(2):
+        step = np.eye(2)[axis] * h
+        hi, lo = spec.slice_at(tuple(x + step)), spec.slice_at(tuple(x - step))
+        dqp, dk = spec.slice_derivative(tuple(x), axis)
+        assert np.max(np.abs(dqp - (hi.qp - lo.qp) / (2 * h))) < 1e-10
+        assert np.max(np.abs(dk - (hi.k - lo.k) / (2 * h))) < 1e-10
+
+
 def test_sample_grid_covers_ball():
     grid = sample_grid(2, 0.15)
     assert len(grid) == 9

@@ -195,6 +195,20 @@ def test_eval_matrix_matches_series_evaluate():
 # derivatives
 # --------------------------------------------------------------------------
 
+def test_parameter_derivative():
+    # d/dx2 of 1 + 3 x2 - 2 x2 y2 + 5 y2^2 is 3 - 2 y2; d/dy2 is -2 x2 + 10 y2
+    p = ParamPoly(2, 2, {(0, 0): 1.0, (1, 0): 3.0, (1, 1): -2.0, (0, 2): 5.0})
+    assert p.derivative(0) == ParamPoly(2, 2, {(0, 0): 3.0, (0, 1): -2.0})
+    assert p.derivative(1) == ParamPoly(2, 2, {(1, 0): -2.0, (0, 1): 10.0})
+    assert ParamPoly.const(4.0, 2).derivative(0).is_zero()
+    s = BidegreeSeries(2, 4, 2, {(1, 2): ComplexParam(p, -p), (0, 3): ComplexParam.const(1.0, 2)})
+    ds = s.derivative(1)
+    assert set(ds.coeffs) == {(1, 2)}
+    x, h = np.array([0.3, -0.2]), 1e-3
+    fd = (s.fix_parameters(x + [0.0, h]) - s.fix_parameters(x - [0.0, h])) / (2 * h)
+    assert np.max(np.abs(ds.fix_parameters(x) - fd)) < 1e-12
+
+
 def test_derivative_zbar_monomial():
     assert entries(matrix_derivative_zbar(M({(1, 1): 1.0}))) == {(1, 0): 1.0}
 

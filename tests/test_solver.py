@@ -4,14 +4,15 @@ remainders, trivial and order-7 families, decay-rate fits."""
 import numpy as np
 import pytest
 
-from bishopdiscs import fourier, solver
+from bishopdiscs import fourier, solver, specio
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
 from bishopdiscs.errors import ZeroOnCurve
+from bishopdiscs.normal_form import normalize_full
 from bishopdiscs.solver import (
     _chord_inverse, _chord_solver, build_slice_operators, linearized_level, omega,
-    omega_deviation, solve_slice, solve_u,
+    omega_deviation, solve_slice, solve_tangent, solve_u,
 )
 from conftest import RATE_R_LIST, TIGHT_CONFIG, make_spec, perturbed_slice
 
@@ -251,3 +252,59 @@ def test_phi_decomposition(rate_family):
     recon = phi + 1j * fourier.conjugate_samples(phi)
     scale = np.max(np.abs(sol.f_samples))
     assert np.max(np.abs(recon - sol.f_samples)) < 1e-10 * scale + 1e-15
+
+
+# --------------------------------------------------------------------------
+# slice tangents
+# --------------------------------------------------------------------------
+
+def richardson_gap(tangent, solve_at, h):
+    """sup |tangent - Richardson(FD(h), FD(h/2))| / sup |tangent| for the
+    central differences of U over the slices solve_at(+-step)."""
+    fd = [(solve_at(step).u_samples - solve_at(-step).u_samples) / (2 * step)
+          for step in (h, h / 2)]
+    richardson = (4 * fd[1] - fd[0]) / 3
+    return np.max(np.abs(richardson - tangent)) / np.max(np.abs(tangent))
+
+
+@pytest.mark.parametrize("r", [0.03, 0.1])
+def test_radius_tangent_matches_richardson(r):
+    # the criterion-6 spec; FD at h = r/20 alone is off by about 5e-3, the
+    # (h/r)^2 truncation, and Richardson leaves 3.2e-7 / 3.9e-7 at r 0.03 / 0.1
+    spec = make_spec(lam=0.2, cubic=0.1, k7=0.05)
+    sol = solve_slice(spec, SliceParams(X0, r), TIGHT_CONFIG)
+    tangent = solve_tangent(sol, dr=1.0)
+    gap = richardson_gap(
+        tangent.u, lambda step: solve_slice(spec, SliceParams(X0, r + step), TIGHT_CONFIG), r / 20)
+    assert gap < 1e-6
+
+
+def test_parameter_tangent_matches_richardson():
+    # the normalized raw example depends on X through lam, P and K; off the
+    # sample table (whose slices the fits only approximate) Richardson on
+    # h = 1e-3 leaves 1.7e-10
+    raw = specio.load(specio.resolve_spec_path("builtin:raw_example"))
+    spec, _ = normalize_full(raw, raw.l)
+    x, r = np.array([0.03, 0.0]), 0.05
+    sol = solve_slice(spec, SliceParams(tuple(x), r), TIGHT_CONFIG)
+    tangent = solve_tangent(sol, 0.0, *spec.slice_derivative(tuple(x), 0))
+    gap = richardson_gap(
+        tangent.u,
+        lambda step: solve_slice(spec, SliceParams(tuple(x + [step, 0.0]), r), TIGHT_CONFIG),
+        1e-3)
+    assert gap < 1e-9
+
+
+def test_parameter_tangents_vanish_on_x_independent_data(monkeypatch):
+    # zero rates give zero right-hand sides: exact zeros, no Krylov product
+    spec = make_spec(lam=0.2, cubic=0.1, k7=0.05)
+    sol = solve_slice(spec, SliceParams(X0, 0.1))
+    products = []
+    exact = solver._chord_solver
+    monkeypatch.setattr(solver, "_chord_solver",
+                        lambda c: lambda b: products.append(1) or exact(c)(b))
+    for axis in range(2):
+        tangent = solve_tangent(sol, 0.0, *spec.slice_derivative(X0, axis))
+        for field in (tangent.u, tangent.f, tangent.z, tangent.zc, tangent.b):
+            assert not np.any(field)
+    assert products == []
