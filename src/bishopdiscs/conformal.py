@@ -22,7 +22,8 @@ GMRES, so no N x N array is formed and a step costs O(k N log N) for k
 Krylov products. GMRES is preconditioned on the right by the closed-form
 inverse of the continuous step operator, a Riemann-Hilbert problem solved
 by two conjugations (Wegmann 1986), so k is 1-14 where the unpreconditioned
-step took 19-65.
+step took 19-65. The solver's chord step uses the same closed-form solve
+(riemann_hilbert) and GMRES wrapper (preconditioned).
 
 The same step operator gives the map's derivative along the slice
 parameters (map_tangent): linearising the relation at the solved map, the
@@ -46,8 +47,8 @@ from .curve import BoundaryCurve, log_radial_slope, log_radius_tangent, radial_r
 
 MAP_TOL = 1e-11        # sup norm of the correspondence residual
 MAP_MAX_ITER = 200     # Newton steps before the solve counts as stalled
-KRYLOV_TOL = 1e-13     # relative 2-norm residual of each Newton step's solve
-KRYLOV_MAX_ITER = 200  # Krylov products per Newton step
+KRYLOV_TOL = 1e-13     # relative 2-norm residual of each preconditioned solve
+KRYLOV_MAX_ITER = 200  # Krylov products per preconditioned solve
 
 
 def gmres(apply, b, rtol, max_iter):
@@ -96,40 +97,39 @@ def gmres(apply, b, rtol, max_iter):
     return y @ basis[:k]
 
 
-def _riemann_hilbert_inverse(slope):
-    """Closed-form inverse b -> v of the continuous Newton operator
-    v - H[slope v], a Riemann-Hilbert problem (Wegmann 1986).
-
-    With alpha = arg(slope + i) in (0, pi), v - H[slope v] = b holds iff
-    Phi = i (H[slope v] - i slope v) is holomorphic with Im(E Phi) = gamma,
-    where E = exp(H[alpha] - i alpha) and gamma = -b cos(alpha) e^{H[alpha]}.
-    So E Phi = i (gamma + i H[gamma]) + c, the real c makes Phi(0) real, and
-    v = Re[(Phi + i b) / (slope + i)]. One conjugation here, one per call.
+def riemann_hilbert(alpha):
+    """Closed-form Riemann-Hilbert solve for an angle function alpha
+    (Wegmann 1986). With E = exp(H[alpha] - i alpha), the boundary values of a
+    holomorphic function, returns e^{H[alpha]} and the map gamma -> phi from
+    real gamma to the holomorphic phi with Im(E phi) = gamma and phi(0) real:
+    E phi = i (gamma + i H[gamma]) + c, the real c making phi(0) real. One
+    conjugation here, one per solve; needs sin(mean alpha) != 0.
     """
-    alpha = np.arctan2(1.0, slope)
     h_alpha = fourier.conjugate_samples(alpha)
     outer = np.exp(h_alpha - 1j * alpha)
-    weight = -np.cos(alpha) * np.exp(h_alpha)
     cot_mean = 1.0 / np.tan(np.mean(alpha))
 
-    def inverse(b):
-        gamma = b * weight
-        phi = (1j * gamma - fourier.conjugate_samples(gamma)
-               - np.mean(gamma) * cot_mean) / outer
-        return np.real((phi + 1j * b) / (slope + 1j))
-    return inverse
+    def solve(gamma):
+        return (1j * gamma - fourier.conjugate_samples(gamma) - np.mean(gamma) * cot_mean) / outer
+    return np.exp(h_alpha), solve
 
 
-def _newton_step(slope, rhs):
-    """Solve delta - H[slope delta] = rhs by GMRES, right-preconditioned with
-    the closed-form inverse M^-1, so GMRES stops on the true residual."""
-    inverse = _riemann_hilbert_inverse(slope)
+def preconditioned(operator, inverse):
+    """b -> x with operator(x) = b by GMRES right-preconditioned with the
+    approximate inverse, so GMRES stops on the true residual."""
+    return lambda b: inverse(gmres(lambda y: operator(inverse(y)), b, KRYLOV_TOL, KRYLOV_MAX_ITER))
 
-    def preconditioned(y):
-        v = inverse(y)
-        return v - fourier.conjugate_samples(slope * v)
 
-    return inverse(gmres(preconditioned, rhs, KRYLOV_TOL, KRYLOV_MAX_ITER))
+def _map_solver(slope):
+    """b -> v with v - H[slope v] = b: the map's Newton step. With
+    alpha = arg(slope + i) in (0, pi), Phi = i (H[slope v] - i slope v) is
+    holomorphic with Im(E Phi) = -b cos(alpha) e^{H[alpha]}, and
+    v = Re[(Phi + i b) / (slope + i)]."""
+    alpha = np.arctan2(1.0, slope)
+    modulus, solve = riemann_hilbert(alpha)
+    weight = -np.cos(alpha) * modulus
+    return preconditioned(lambda v: v - fourier.conjugate_samples(slope * v),
+                          lambda b: np.real((solve(b * weight) + 1j * b) / (slope + 1j)))
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def riemann_map(curve):
             raise NoConvergence(
                 f"correspondence iteration stalled at residual {res_norm:.3e}; the grid "
                 f"under-resolves the map, try ntheta = {2 * n}")
-        delta = _newton_step(log_radial_slope(data, rho, t + psi), -res)
+        delta = _map_solver(log_radial_slope(data, rho, t + psi))(-res)
         alpha = 1.0
         while True:
             trial = psi + alpha * delta
@@ -258,5 +258,5 @@ def map_tangent(cmap, dr, dqp):
     data = cmap.curve.data
     dlog_rho = log_radius_tangent(data, rho, theta, cmap.r, dr, dqp)
     slope = log_radial_slope(data, rho, theta)
-    dpsi = _newton_step(slope, fourier.conjugate_samples(dlog_rho))
+    dpsi = _map_solver(slope)(fourier.conjugate_samples(dlog_rho))
     return cmap.boundary_z * (dlog_rho + (slope + 1j) * dpsi)

@@ -16,7 +16,8 @@ Omega_1 keeps the linear term -Im c Im F, so U is found by damped chord steps
 F = 0 but for the O(r^5) K term. Omega - 1 is evaluated cancellation-free
 via (1+F)^j (1+Fbar)^k - 1 products so that converged values sit at the
 arithmetic noise floor of the small quantities themselves, not of the O(1)
-level function.
+level function. Each chord step is conformal's Riemann-Hilbert solve for
+c_complex, corrected by conformal's preconditioned GMRES.
 
 solve_tangent differentiates a solved slice along r or X without solving
 again: the map's boundary points move by conformal.map_tangent, and U' solves
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import fourier
 from .config import DEFAULT_CONFIG
-from .conformal import KRYLOV_MAX_ITER, KRYLOV_TOL, gmres, map_tangent, riemann_map
+from .conformal import map_tangent, preconditioned, riemann_hilbert, riemann_map
 from .curve import trace_level_curve
 from .errors import NoConvergence, NonzeroWinding, ValidityEscape, ZeroOnCurve
 from .series import eval_deviation, eval_matrix, matrix_derivative_z
@@ -75,29 +76,16 @@ def build_slice_operators(cmap):
     return SliceOperators(c_star, d, fourier.negative_energy_fraction(d), c_complex)
 
 
-def _chord_inverse(c_complex):
-    """Closed-form inverse b -> delta of delta - s H[delta] (Wegmann 1986): as
-    c = |c| e^{H[arg c]} Q with Q = exp(i arg c - H[arg c]), Re(Q Phi) = Re(Q) b for
-    Phi = delta + i H[delta], so Q Phi = V + i H[V] + i mean(V) tan(mean arg c), V = Re(Q) b."""
-    alpha = np.unwrap(np.angle(c_complex))
-    outer = np.exp(1j * alpha - fourier.conjugate_samples(alpha))
-    tan_mean = np.tan(np.mean(alpha))
-
-    def inverse(b):
-        v = outer.real * b
-        return np.real((v + 1j * (fourier.conjugate_samples(v) + np.mean(v) * tan_mean)) / outer)
-    return inverse
-
-
 def _chord_solver(c_complex):
-    """b -> delta with delta - s H[delta] = b, s = Im c / Re c: right-preconditioned GMRES."""
+    """b -> delta with delta - s H[delta] = b, s = Im c / Re c. With
+    alpha = -(arg c + pi/2), E = i c / (|c| e^{H[arg c]}), so
+    Re(c Phi) = Re(c) b for Phi = delta + i H[delta] reads Im(E Phi) = Im(E) b."""
     s = c_complex.imag / c_complex.real
-    inverse = _chord_inverse(c_complex)
-
-    def preconditioned(y):
-        v = inverse(y)
-        return v - s * fourier.conjugate_samples(v)
-    return lambda b: inverse(gmres(preconditioned, b, KRYLOV_TOL, KRYLOV_MAX_ITER))
+    alpha = -(np.unwrap(np.angle(c_complex)) + 0.5 * np.pi)
+    modulus, solve = riemann_hilbert(alpha)
+    weight = -np.sin(alpha) * modulus
+    return preconditioned(lambda v: v - s * fourier.conjugate_samples(v),
+                          lambda b: np.real(solve(b * weight)))
 
 
 def omega(f, cmap):

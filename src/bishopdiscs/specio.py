@@ -22,18 +22,21 @@ from .series import BidegreeSeries, ParamPoly
 BUNDLED = ("quadric", "order7", "perturbed", "raw_example")
 
 
+def _typed(key, value, types):
+    # JSON true/false load as bool, an int subclass; no field takes them
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise SpecParseError(f"field '{key}' has type {type(value).__name__}")
+    return value
+
+
 def _require(obj, key, types):
     if key not in obj:
         raise SpecParseError(f"missing field '{key}'")
-    if not isinstance(obj[key], types):
-        raise SpecParseError(f"field '{key}' has type {type(obj[key]).__name__}")
-    return obj[key]
+    return _typed(key, obj[key], types)
 
 
 def _degree_field(obj, key, default, minimum):
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecParseError(f"field '{key}' has type {type(value).__name__}")
+    value = _typed(key, obj.get(key, default), int)
     if value < minimum:
         raise SchemaViolation(f"{key} must be >= {minimum}, got {value}")
     return value

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bishopdiscs import fourier
+from bishopdiscs import conformal, fourier
 from bishopdiscs.config import DEFAULT_CONFIG, PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceData, SliceParams, quadric_slice, trace_level_curve
@@ -66,6 +66,32 @@ def derivative_bound_probe(spec, solution, j, s, config=DEFAULT_CONFIG):
     if j > 0:
         f = fourier.derivative(f, j)
     return fourier.sup_norm(f)
+
+
+def closed_form_only(monkeypatch):
+    """Replace GMRES by the identity from here on: every conformal.preconditioned
+    solve then returns its closed-form Riemann-Hilbert inverse alone."""
+    monkeypatch.setattr(conformal, "gmres", lambda apply, b, rtol, max_iter: b)
+
+
+@pytest.fixture
+def krylov_products(monkeypatch):
+    """Products taken by each GMRES solve from here on, one entry per solve."""
+    products = []
+    plain = conformal.gmres
+
+    def counting(apply, b, rtol, max_iter):
+        calls = [0]
+
+        def counted(v):
+            calls[0] += 1
+            return apply(v)
+        x = plain(counted, b, rtol, max_iter)
+        products.append(calls[0])
+        return x
+
+    monkeypatch.setattr(conformal, "gmres", counting)
+    return products
 
 
 @pytest.fixture(scope="session")

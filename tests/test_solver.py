@@ -11,10 +11,10 @@ from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
 from bishopdiscs.errors import ZeroOnCurve
 from bishopdiscs.normal_form import normalize_full
 from bishopdiscs.solver import (
-    _chord_inverse, _chord_solver, build_slice_operators, linearized_level, omega,
+    _chord_solver, build_slice_operators, linearized_level, omega,
     omega_deviation, solve_slice, solve_tangent, solve_u,
 )
-from conftest import RATE_R_LIST, TIGHT_CONFIG, make_spec, perturbed_slice
+from conftest import RATE_R_LIST, TIGHT_CONFIG, closed_form_only, make_spec, perturbed_slice
 
 X0 = (0.0, 0.0)
 
@@ -130,18 +130,29 @@ def test_chord_step_equals_dense_step(data, ntheta):
     assert np.linalg.norm(step - dense) <= 1e-11 * np.linalg.norm(dense)
 
 
+def test_chord_step_takes_few_krylov_products(krylov_products):
+    # the counterpart of the map's guard: 9 products per step here when this
+    # guard was set, so a wrong preconditioner that still converges shows
+    cmap, _ = pipeline(ECCENTRIC_035, 0.1, 512)
+    krylov_products.clear()
+    sol = solve_u(cmap)
+    assert len(krylov_products) == sol.iterations
+    assert max(krylov_products) <= 12
+
+
 @pytest.mark.parametrize("data, ntheta", [(perturbed_slice(0.25), 1024),
                                           (make_spec(lam=0.3, cubic=0.1).slice_at(X0), 2048)],
                          ids=["perturbed", "eccentric0.3"])
-def test_closed_form_chord_inverse_solves_the_continuous_operator(data, ntheta):
-    # c and b resolved to rounding on these grids: the defect measured 3.6e-16
-    # relative on both (it is 3.7e-7 for the perturbed slice at ntheta 256,
+def test_closed_form_chord_inverse_solves_the_continuous_operator(data, ntheta, monkeypatch):
+    # c and b resolved to rounding on these grids: the defect measured 4.0e-16
+    # and 4.4e-16 relative (it is 3.7e-7 for the perturbed slice at ntheta 256,
     # where c itself is under-resolved)
     _, ops = pipeline(data, 0.1, ntheta)
     s = ops.c_complex.imag / ops.c_complex.real
     t = fourier.grid(ntheta)
     b = 0.3 + np.cos(t) - 0.5 * np.sin(3 * t) + 0.2 * np.cos(7 * t)
-    v = _chord_inverse(ops.c_complex)(b)
+    closed_form_only(monkeypatch)
+    v = _chord_solver(ops.c_complex)(b)
     defect = v - s * fourier.conjugate_samples(v) - b
     assert np.linalg.norm(defect) <= 1e-14 * np.linalg.norm(b)
 

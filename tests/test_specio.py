@@ -149,6 +149,14 @@ def test_negative_parameter_exponent_rejected():
     ("maxDegree", -1, SchemaViolation),
     ("paramDegree", "x", SpecParseError),
     ("paramDegree", -1, SchemaViolation),
+    # bool is an int subclass: true would load as 1 (a radius 1.0 ball)
+    ("maxDegree", True, SpecParseError),
+    ("paramDegree", False, SpecParseError),
+    ("validityRadius", True, SpecParseError),
+    ("N", True, SpecParseError),
+    ("N", False, SpecParseError),
+    ("l", True, SpecParseError),
+    ("l", False, SpecParseError),
 ])
 def test_degree_fields_are_checked(key, value, error):
     obj = {"N": 2, "l": 7, "validityRadius": 0.2,
