@@ -17,7 +17,7 @@ from bishopdiscs import fourier, specio
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.curve import SliceParams
 from bishopdiscs.discs import fit_loglog_slope
-from bishopdiscs.solver import solve_slice, solve_tangent
+from bishopdiscs.solver import solve_slice, tangent_solver
 
 
 def main():
@@ -36,7 +36,7 @@ def main():
     for r in r_list:
         sol = solve_slice(spec, SliceParams(x0, r), config)
         norms.append(sol.norm_u)
-        dr_norms.append(fourier.sup_norm(solve_tangent(sol, dr=1.0).u))
+        dr_norms.append(fourier.sup_norm(tangent_solver(sol)(dr=1.0).u))
         rows.append([r, sol.norm_u, dr_norms[-1], sol.iterations])
         print(f"r = {r:<6}  |U| = {sol.norm_u:.6e}  |dU/dr| = {dr_norms[-1]:.6e}  "
               f"({sol.iterations} iterations)")

@@ -244,9 +244,10 @@ def riemann_map(curve):
     )
 
 
-def map_tangent(cmap, dr, dqp):
-    """Rate z' of the boundary points along a parameter direction that moves
-    r at rate dr and the slice matrix qp at rate dqp.
+def map_tangent(cmap):
+    """Rates of the boundary points along parameter directions: returns
+    (dr, dqp) -> z' for the direction that moves r at rate dr and the slice
+    matrix qp at rate dqp. The slope and the step's solver are built once.
 
     The Theodorsen relation linearised at the solved map: psi' solves
     psi' - H[slope psi'] = H[d log rho], one Newton step's solve (H drops
@@ -256,7 +257,11 @@ def map_tangent(cmap, dr, dqp):
     theta = cmap.correspondence
     rho = np.abs(cmap.boundary_z)
     data = cmap.curve.data
-    dlog_rho = log_radius_tangent(data, rho, theta, cmap.r, dr, dqp)
     slope = log_radial_slope(data, rho, theta)
-    dpsi = _map_solver(slope)(fourier.conjugate_samples(dlog_rho))
-    return cmap.boundary_z * (dlog_rho + (slope + 1j) * dpsi)
+    solve = _map_solver(slope)
+
+    def rate(dr, dqp):
+        dlog_rho = log_radius_tangent(data, rho, theta, cmap.r, dr, dqp)
+        dpsi = solve(fourier.conjugate_samples(dlog_rho))
+        return cmap.boundary_z * (dlog_rho + (slope + 1j) * dpsi)
+    return rate

@@ -7,7 +7,7 @@ boundary). Families swept over (X, r) are checked for boundary attachment,
 mutual disjointness (certified by the maximum principle), nested slice
 curves, decay rates of the solved norms, and the near-identity behaviour of
 the slice map at the origin. Each slice is solved once; its derivatives in
-r and X are the slice tangents of solver.solve_tangent, not re-solves.
+r and X are the slice tangents of solver.tangent_solver, not re-solves.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -19,7 +19,7 @@ from .config import DEFAULT_CONFIG
 from .curve import SliceParams
 from .errors import PipelineError, TargetTooCloseToBoundary
 from .hilbert import norm_probe
-from .solver import DiscSolution, solve_slice, solve_tangent
+from .solver import DiscSolution, solve_slice, tangent_solver
 
 
 # --------------------------------------------------------------------------
@@ -112,11 +112,12 @@ def fit_loglog_slope(values_x, values_y):
 
 def slice_tangents(spec, solution):
     """Tangents (solver.SliceTangent) of a solved slice along r and along
-    each axis of X, the latter from the exact X-derivatives of the fits."""
+    each axis of X, the latter from the exact X-derivatives of the fits,
+    all solved against one set-up of the slice."""
     x = solution.cmap.curve.slice.x
-    return (solve_tangent(solution, dr=1.0),
-            [solve_tangent(solution, 0.0, *spec.slice_derivative(x, axis))
-             for axis in range(len(x))])
+    tangent = tangent_solver(solution)
+    return (tangent(dr=1.0),
+            [tangent(0.0, *spec.slice_derivative(x, axis)) for axis in range(len(x))])
 
 
 def center_rates(solution, tangent):

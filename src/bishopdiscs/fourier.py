@@ -4,6 +4,11 @@ All routines assume samples f_j = f(2*pi*j/N), N even, and use the
 symmetric trigonometric interpolant: the Nyquist bin is a cosine split into
 equal halves at modes -N/2 and N/2. interpolant_modes alone writes that
 convention; every routine that resamples or evaluates the interpolant reads it.
+
+conjugate_samples, derivative, interpolant_modes, eval_interpolant,
+eval_taylor and invert_correspondence act along the last axis: a stack of
+rows (..., N) runs through the same code path as one row, and each row of
+the result equals the call on that row alone, bit for bit.
 """
 
 import functools
@@ -19,7 +24,7 @@ def grid(n):
 
 
 def _check_even(samples):
-    n = len(samples)
+    n = np.shape(samples)[-1]
     if n < 4 or n % 2:
         raise GridMismatch(f"need an even number of samples >= 4, got {n}")
     return n
@@ -68,23 +73,30 @@ def interpolant_modes(samples):
     """Coefficients of the trigonometric interpolant at modes -n/2 .. n/2,
     the Nyquist cosine split into halves."""
     n = _check_even(samples)
-    c = np.fft.fftshift(np.fft.fft(samples)) / n
-    c = np.append(c, 0.5 * c[0])
-    c[0] *= 0.5
+    c = np.fft.fftshift(np.fft.fft(samples), axes=-1) / n
+    c = np.concatenate([c, 0.5 * c[..., :1]], axis=-1)
+    c[..., 0] *= 0.5
     return c
 
 
 def _eval_modes(modes, t):
-    """Sum of modes[j] e^{i(j - n/2)t}: Horner in e^{it} over the modes k >= 0
-    and in e^{-it} over k < 0, so mode k takes |k| roundings of e^{it}."""
-    half = (len(modes) - 1) // 2
+    """Sum of modes[..., j] e^{i(j - n/2)t}: Horner in e^{it} over the modes
+    k >= 0 and in e^{-it} over k < 0, so mode k takes |k| roundings of e^{it}.
+    The last axis of t holds the points; its leading axes broadcast against
+    the leading (row) axes of modes."""
+    half = (modes.shape[-1] - 1) // 2
+    modes = modes[..., None, :]
     z = np.exp(1j * t)
-    return (eval_taylor(modes[half:], z)
-            + eval_taylor(np.append(0.0, modes[half - 1::-1]), z.conj()))
+    negative = np.concatenate([np.zeros(modes.shape[:-1] + (1,)), modes[..., half - 1::-1]],
+                              axis=-1)
+    return eval_taylor(modes[..., half:], z) + eval_taylor(negative, z.conj())
 
 
 def eval_interpolant(samples, t):
-    """Evaluate the trigonometric interpolant of the samples at angles t."""
+    """Evaluate the trigonometric interpolant of the samples at angles t.
+
+    A stack of sample rows (..., n) is evaluated at t's last axis, whose
+    leading axes broadcast against the rows."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     out = _eval_modes(interpolant_modes(samples), t)
     return out.real if np.isrealobj(samples) else out
@@ -179,10 +191,14 @@ def taylor_from_boundary(samples, n_coeffs):
 
 
 def eval_taylor(coeffs, zeta):
-    """Horner evaluation of a Taylor polynomial at (arrays of) points."""
+    """Horner evaluation of Taylor polynomials at (arrays of) points.
+
+    The coefficients run along the last axis; its leading axes stack
+    polynomials and broadcast against the axes of zeta."""
     zeta = np.asarray(zeta, dtype=complex)
-    out = np.zeros_like(zeta)
-    for c in coeffs[::-1]:
+    coeffs = np.asarray(coeffs)
+    out = np.zeros((), dtype=complex)
+    for c in coeffs.transpose(-1, *range(coeffs.ndim - 1))[::-1]:   # highest first
         out = out * zeta + c
     return out
 
@@ -206,20 +222,30 @@ def cauchy_integral(boundary_values, z_samples, z_tangent, targets):
 
 
 def invert_correspondence(theta_samples, theta_targets):
-    """Solve theta(t) = target for t, for a monotone correspondence.
+    """Solve theta(t) = target for t by Newton, for a monotone correspondence.
 
     theta_samples are values of theta at the equispaced t grid with
-    theta(t) = t + periodic part.
+    theta(t) = t + psi(t), psi periodic; the targets run along the last axis
+    of theta_targets. A stack of correspondences (..., n) is inverted in one
+    pass: psi and psi' are evaluated in one Horner per step, and each row
+    stops on its own test and is frozen from then on, so it takes exactly
+    the steps of its own single-row call.
     """
     theta_samples = np.asarray(theta_samples, dtype=float)
-    n = len(theta_samples)
+    n = theta_samples.shape[-1]
     psi = interpolant_modes(theta_samples - grid(n))   # periodic part
-    dpsi = 1j * np.arange(-(n // 2), n // 2 + 1) * psi
+    modes = np.stack([psi, 1j * np.arange(-(n // 2), n // 2 + 1) * psi])
     targets = np.atleast_1d(np.asarray(theta_targets, dtype=float))
-    t = targets.copy()
+    t = targets * np.ones(psi.shape[:-1] + (1,))   # the targets, once per row
     for _ in range(60):
-        f = t + _eval_modes(psi, t).real - targets
-        if np.max(np.abs(f)) < 1e-13:
+        psi_t, dpsi_t = _eval_modes(modes, t).real
+        f = t + psi_t - targets
+        residual = np.max(np.abs(f), axis=-1, keepdims=True)
+        done = residual < 1e-13
+        if done.all():
             return t
-        t = t - f / (1.0 + _eval_modes(dpsi, t).real)
-    raise NoConvergence("correspondence inversion did not converge")
+        t = np.where(done, t, t - f / (1.0 + dpsi_t))
+    raise NoConvergence(
+        "correspondence inversion not converged after 60 Newton steps: "
+        f"worst residual {np.max(residual):.3e}; the grid under-resolves the "
+        "correspondence, raise ntheta")

@@ -51,21 +51,31 @@ def origin_imaginary_residual(cmap, phi):
 # discrete Hoelder norms and the model-curve comparison probe
 # --------------------------------------------------------------------------
 
-def discrete_holder_norm(samples, j):
+def holder_weights(n):
+    """Pair weights min(dt, 2 pi - dt)^HOLDER_ALPHA of the n-point grid, with
+    an infinite diagonal: the denominators of discrete_holder_norm. An n x n
+    table (128 MB at n = 4096), so callers build it per use, not per module."""
+    t = fourier.grid(n)
+    dt = np.abs(t[:, None] - t[None, :])
+    dist = np.minimum(dt, 2 * np.pi - dt)
+    np.fill_diagonal(dist, np.inf)
+    return dist ** HOLDER_ALPHA
+
+
+def discrete_holder_norm(samples, j, weights):
     """Sup norms of spectral derivatives up to order j plus the top-order
-    HOLDER_ALPHA-difference quotient maximized over grid pairs."""
+    HOLDER_ALPHA-difference quotient maximized over grid pairs, for one row
+    of samples; weights = holder_weights(len(samples)), shared by every row
+    on that grid."""
     samples = np.asarray(samples, dtype=float)
-    n = len(samples)
     total = 0.0
     top = samples
     for order in range(j + 1):
         top = samples if order == 0 else fourier.derivative(samples, order)
         total += float(np.max(np.abs(top)))
-    t = fourier.grid(n)
-    dt = np.abs(t[:, None] - t[None, :])
-    dist = np.minimum(dt, 2 * np.pi - dt)
-    np.fill_diagonal(dist, np.inf)
-    quot = np.abs(top[:, None] - top[None, :]) / dist ** HOLDER_ALPHA
+    quot = np.subtract.outer(top, top)
+    np.abs(quot, out=quot)
+    quot /= weights
     return total + float(np.max(quot))
 
 
@@ -79,18 +89,22 @@ def random_trig_poly(rng, degree=10):
 
 
 def eval_trig_poly(coeffs, theta):
+    """Values at theta of the trig polynomial with coefficients (a0, a, b).
+    Stacked coefficients (a0 of shape (m,), a and b of shape (m, degree))
+    give the (m,) + theta.shape stack of their values."""
     a0, a, b = coeffs
     theta = np.asarray(theta, dtype=float)
-    out = np.full(theta.shape, a0)
-    for i in range(len(a)):
-        out += a[i] * np.cos((i + 1) * theta) + b[i] * np.sin((i + 1) * theta)
+    out = np.multiply.outer(a0, np.ones(theta.shape))
+    for i in range(np.shape(a)[-1]):
+        out += (np.multiply.outer(a[..., i], np.cos((i + 1) * theta))
+                + np.multiply.outer(b[..., i], np.sin((i + 1) * theta)))
     return out
 
 
 def _transform_on_polar_grid(cmap, t_star, coeffs):
-    """H[phi] expressed back on the equispaced polar grid, for a trig
-    polynomial phi of the polar angle; t_star are the circle angles that
-    cmap's correspondence sends to that grid."""
+    """H[phi] expressed back on the equispaced polar grid, for a stack of
+    trig polynomials phi of the polar angle; t_star are the circle angles
+    that cmap's correspondence sends to that grid."""
     phi_t = eval_trig_poly(coeffs, cmap.correspondence)
     h_t = fourier.conjugate_samples(phi_t)
     return np.real(fourier.eval_interpolant(h_t, t_star))
@@ -100,25 +114,26 @@ def norm_probe(cmap, j, seed=0):
     """Empirical operator-norm gap between this curve's transform and the
     transform of the unperturbed quadratic-model curve at the same slice.
 
-    Both transforms act on trig polynomials of the polar angle and are
-    compared on the polar grid in the discrete C^j norm; the gap closes
-    linearly in r when the perturbation is nontrivial. The model map is
-    built on the same grid as cmap.
+    Both transforms act on ten random trig polynomials of the polar angle
+    and are compared on the polar grid in the discrete C^j norm; the gap
+    closes linearly in r when the perturbation is nontrivial. The model map
+    is built on the same grid as cmap. The polynomials are drawn trial by
+    trial from seed and run as one stack; both correspondences are inverted
+    in one call and the Hoelder weights are built once, so the result equals
+    the trial-by-trial loop bit for bit.
     """
     data = cmap.curve.data
     model = quadric_slice(data.lam, max_degree=data.qp.shape[0] - 1)
     model_curve = trace_level_curve(model, cmap.curve.slice, PipelineConfig(ntheta=cmap.n))
     model_map = riemann_map(model_curve)
     theta_grid = fourier.grid(cmap.n)
-    t_star = fourier.invert_correspondence(cmap.correspondence, theta_grid)
-    t_model = fourier.invert_correspondence(model_map.correspondence, theta_grid)
+    t_star, t_model = fourier.invert_correspondence(
+        np.stack([cmap.correspondence, model_map.correspondence]), theta_grid)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(10):
-        coeffs = random_trig_poly(rng)
-        gap = (_transform_on_polar_grid(cmap, t_star, coeffs)
-               - _transform_on_polar_grid(model_map, t_model, coeffs))
-        phi_polar = eval_trig_poly(coeffs, theta_grid)
-        ratio = discrete_holder_norm(gap, j) / discrete_holder_norm(phi_polar, j)
-        worst = max(worst, ratio)
-    return worst
+    coeffs = [np.array(c) for c in zip(*(random_trig_poly(rng) for _ in range(10)))]
+    gaps = (_transform_on_polar_grid(cmap, t_star, coeffs)
+            - _transform_on_polar_grid(model_map, t_model, coeffs))
+    weights = holder_weights(cmap.n)
+    ratios = [discrete_holder_norm(gap, j, weights) / discrete_holder_norm(phi, j, weights)
+              for gap, phi in zip(gaps, eval_trig_poly(coeffs, theta_grid))]
+    return max(0.0, *ratios)

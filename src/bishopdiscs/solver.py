@@ -19,9 +19,10 @@ arithmetic noise floor of the small quantities themselves, not of the O(1)
 level function. Each chord step is conformal's Riemann-Hilbert solve for
 c_complex, corrected by conformal's preconditioned GMRES.
 
-solve_tangent differentiates a solved slice along r or X without solving
+tangent_solver differentiates a solved slice along r or X without solving
 again: the map's boundary points move by conformal.map_tangent, and U' solves
 the linearised fixed-point equation by the same preconditioned chord steps.
+Its slice-only pieces are built once and serve every direction.
 """
 
 from dataclasses import dataclass
@@ -211,9 +212,13 @@ class SliceTangent:
         self.u, self.f, self.z, self.zc, self.b = u, f, z, zc, b
 
 
-def solve_tangent(solution, dr=0.0, dqp=None, dk=None):
-    """Derivative of a solved slice along the parameter direction that moves
-    r at rate dr and the slice matrices qp, k at rates dqp, dk (None: 0).
+def tangent_solver(solution):
+    """Derivatives of a solved slice along parameter directions: returns
+    tangent(dr=0.0, dqp=None, dk=None) -> SliceTangent for the direction that
+    moves r at rate dr and the slice matrices qp, k at rates dqp, dk (None: 0).
+    The pieces that depend on the slice alone (the map's tangent solver, qp_z
+    and K_z at zeta, the deviation of z qp_z and the chord solver) are built
+    here once; a direction costs its right side and its chord sweeps.
 
     The solved U is the fixed point of G = U - C* E / r^2, with the boundary
     equation E = qp(zeta) - qp(z) + H[K(zeta)] (real parts, zeta = z (1 + F))
@@ -229,38 +234,43 @@ def solve_tangent(solution, dr=0.0, dqp=None, dk=None):
     """
     cmap, ops, f = solution.cmap, solution.ops, solution.f_samples
     data, r, z = cmap.curve.data, cmap.r, cmap.boundary_z
-    dqp = np.zeros_like(data.qp) if dqp is None else dqp
-    dk = np.zeros_like(data.k) if dk is None else dk
-    dz = map_tangent(cmap, dr, dqp)
+    z_rate = map_tangent(cmap)
     zc = z * (1.0 + f)
     qp_z = data.eval_qp_dz(zc)
     k_z = eval_matrix(matrix_derivative_z(data.k), zc)
     rows = np.arange(len(data.qp))[:, None]
-    # rates of Re qp(zeta) - Re qp(z) and Re K(zeta) as z moves at fixed F
-    re_p = np.real(eval_deviation(dqp, z, f) + 2.0 * dz / z * eval_deviation(rows * data.qp, z, f))
-    im_p = 2.0 * np.real(k_z * dz * (1.0 + f)) + eval_matrix(dk, zc).real
+    z_qp_z = eval_deviation(rows * data.qp, z, f)
+    chord = _chord_solver(ops.c_complex)
 
     def rates(du):
         """F' for U' = du, and the rates of Re qp(zeta) and Re K(zeta) it causes."""
         df = (du + 1j * fourier.conjugate_samples(du)) / ops.d_samples
         return df, 2.0 * np.real(qp_z * z * df), 2.0 * np.real(k_z * z * df)
 
-    def residual(re_u, im_u):
-        """G_p - (I - G_U) U' = -C* (E_p + E_U U') / r^2."""
-        return -ops.c_star / r ** 2 * (re_p + re_u + fourier.conjugate_samples(im_p + im_u))
+    def tangent(dr=0.0, dqp=None, dk=None):
+        dqp = np.zeros_like(data.qp) if dqp is None else dqp
+        dk = np.zeros_like(data.k) if dk is None else dk
+        dz = z_rate(dr, dqp)
+        # rates of Re qp(zeta) - Re qp(z) and Re K(zeta) as z moves at fixed F
+        re_p = np.real(eval_deviation(dqp, z, f) + 2.0 * dz / z * z_qp_z)
+        im_p = 2.0 * np.real(k_z * dz * (1.0 + f)) + eval_matrix(dk, zc).real
 
-    chord = _chord_solver(ops.c_complex)
-    tol = TANGENT_RTOL * np.max(np.abs(residual(0.0, 0.0)))
-    du = np.zeros(cmap.n)
-    for _ in range(TANGENT_MAX_SWEEPS):
-        df, re_u, im_u = rates(du)
-        res = residual(re_u, im_u)
-        if np.max(np.abs(res)) <= tol:
-            break
-        du = du + chord(res)
-    else:
-        raise NoConvergence(
-            f"tangent sweeps not converged: residual {np.max(np.abs(res)):.3e} "
-            f"against {tol:.3e} (reduce r or the tail size)")
-    return SliceTangent(u=du, f=df, z=dz, zc=dz * (1.0 + f) + z * df,
-                        b=2.0 * r * dr + re_p + re_u + 1j * (im_p + im_u))
+        def residual(re_u, im_u):
+            """G_p - (I - G_U) U' = -C* (E_p + E_U U') / r^2."""
+            return -ops.c_star / r ** 2 * (re_p + re_u + fourier.conjugate_samples(im_p + im_u))
+
+        tol = TANGENT_RTOL * np.max(np.abs(residual(0.0, 0.0)))
+        du = np.zeros(cmap.n)
+        for _ in range(TANGENT_MAX_SWEEPS):
+            df, re_u, im_u = rates(du)
+            res = residual(re_u, im_u)
+            if np.max(np.abs(res)) <= tol:
+                break
+            du = du + chord(res)
+        else:
+            raise NoConvergence(
+                f"tangent sweeps not converged: residual {np.max(np.abs(res)):.3e} "
+                f"against {tol:.3e} (reduce r or the tail size)")
+        return SliceTangent(u=du, f=df, z=dz, zc=dz * (1.0 + f) + z * df,
+                            b=2.0 * r * dr + re_p + re_u + 1j * (im_p + im_u))
+    return tangent

@@ -7,7 +7,7 @@ from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceData, SliceParams, quadric_slice, trace_level_curve
 from bishopdiscs.normal_form import ManifoldSpec
 from bishopdiscs.series import BidegreeSeries, ParamPoly, quadric_matrix
-from bishopdiscs.solver import solve_slice, solve_tangent
+from bishopdiscs.solver import solve_slice, tangent_solver
 
 # r sweep used by the decay-rate experiments
 RATE_R_LIST = (0.02, 0.03, 0.045, 0.068, 0.1)
@@ -56,11 +56,11 @@ def derivative_bound_probe(spec, solution, j, s, config=DEFAULT_CONFIG):
         raise ValueError("radial derivative order above 2 is not implemented")
     f = solution.f_samples
     if s == 1:
-        f = solve_tangent(solution, dr=1.0).f
+        f = tangent_solver(solution)(dr=1.0).f
     elif s == 2:
         x, r = solution.cmap.curve.slice.x, solution.cmap.curve.slice.r
         h = r / 20.0
-        lo, hi = (solve_tangent(solve_slice(spec, SliceParams(x, rr), config), dr=1.0).f
+        lo, hi = (tangent_solver(solve_slice(spec, SliceParams(x, rr), config))(dr=1.0).f
                   for rr in (r - h, r + h))
         f = (hi - lo) / (2.0 * h)
     if j > 0:

@@ -15,7 +15,7 @@ from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
 from bishopdiscs.discs import build_disc, sweep
 from bishopdiscs.hilbert import origin_imaginary_residual
 from bishopdiscs.normal_form import normalize_full, recenter_cr_singularity
-from bishopdiscs.solver import solve_slice, solve_tangent, solve_u
+from bishopdiscs.solver import solve_slice, solve_u, tangent_solver
 from conftest import RATE_R_LIST, TIGHT_CONFIG, interior_grid, make_spec
 from test_conformal import elliptic_integral_deriv
 from test_normal_form import full_raw_example, offset_raw
@@ -107,7 +107,7 @@ def test_criterion_4_decay_rates():
         for r in RATE_R_LIST:
             sol = solve_slice(spec, SliceParams(X0, r), TIGHT_CONFIG)
             norms.append(sol.norm_u)
-            dr_norms.append(fourier.sup_norm(solve_tangent(sol, dr=1.0).u))
+            dr_norms.append(fourier.sup_norm(tangent_solver(sol)(dr=1.0).u))
         slope_u = float(np.polyfit(np.log(RATE_R_LIST), np.log(norms), 1)[0])
         slope_dr = float(np.polyfit(np.log(RATE_R_LIST), np.log(dr_norms), 1)[0])
         assert 4.5 <= slope_u <= 5.5, f"slope_u = {slope_u:.3f}"

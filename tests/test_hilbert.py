@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from bishopdiscs import fourier
+from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
-from bishopdiscs.errors import AliasingRisk, GridMismatch
+from bishopdiscs.errors import AliasingRisk, GridMismatch, NoConvergence
 from bishopdiscs.fourier import conjugate_samples
 from bishopdiscs.hilbert import (
-    discrete_holder_norm, eval_trig_poly, hilbert_on_curve, norm_probe,
+    discrete_holder_norm, eval_trig_poly, hilbert_on_curve, holder_weights, norm_probe,
     origin_imaginary_residual, random_trig_poly,
 )
 from conftest import perturbed_slice
@@ -127,6 +128,109 @@ def test_correspondence_inversion_round_trips():
     assert np.max(np.abs(got - t)) <= 1e-13
 
 
+def _stack(n):
+    """Three real sample rows on the n-point grid, and complex ones."""
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((3, n))
+    return real, real + 1j * rng.standard_normal((3, n))
+
+
+@pytest.mark.parametrize("n", [4, 256, 512])
+def test_stacked_transforms_equal_the_row_by_row_calls(n):
+    t = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, 37)
+    for rows in _stack(n):
+        for transform in (fourier.conjugate_samples, fourier.interpolant_modes, fourier.derivative):
+            assert np.array_equal(transform(rows), [transform(row) for row in rows])
+        assert np.array_equal(fourier.eval_interpolant(rows, t),
+                              [fourier.eval_interpolant(row, t) for row in rows])
+        zeta = 0.9 * np.exp(1j * t)
+        coeffs = rows[:, :20]
+        assert np.array_equal(fourier.eval_taylor(coeffs[:, None, :], zeta),
+                              [fourier.eval_taylor(c, zeta) for c in coeffs])
+
+
+def test_stacked_inversion_freezes_each_row_on_its_own_test(monkeypatch):
+    # the identity needs no Newton step and the strongest row the most; a
+    # shared stop would move the bits of the rows that converge first
+    rows = np.stack([T, T + 0.05 * np.sin(T), T + 0.45 * np.sin(T) + 0.1 * np.cos(2 * T)])
+    targets = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 50)
+    single = [fourier.invert_correspondence(row, targets) for row in rows]
+    assert np.array_equal(fourier.invert_correspondence(rows, targets), single)
+    evaluations = []
+    exact = fourier._eval_modes
+    monkeypatch.setattr(fourier, "_eval_modes", lambda *a: evaluations.append(1) or exact(*a))
+    steps = []
+    for row in rows:
+        evaluations.clear()
+        fourier.invert_correspondence(row, targets)
+        steps.append(len(evaluations) - 1)
+    assert steps[0] == 0 and steps[0] < steps[1] < steps[2]
+
+
+def test_one_row_calls_keep_their_shapes():
+    x = np.cos(T) + 0.5
+    c = fourier.interpolant_modes(x)
+    assert c.shape == (N + 1,)
+    assert fourier.conjugate_samples(x).shape == (N,)
+    assert fourier.eval_interpolant(x, 0.3).shape == (1,)
+    assert fourier.eval_interpolant(x, T[:7]).shape == (7,)
+    assert fourier.invert_correspondence(T + 0.1 * np.sin(T), 0.3).shape == (1,)
+    assert fourier.invert_correspondence(T + 0.1 * np.sin(T), T[:7]).shape == (7,)
+    value = fourier.eval_taylor(c[:10], 0.3 + 0.1j)
+    assert np.ndim(value) == 0 and isinstance(value, np.complex128)
+    assert fourier.eval_taylor(c[:10], np.full((2, 3), 0.1j)).shape == (2, 3)
+
+
+def test_stacked_input_reads_the_grid_size_from_the_last_axis():
+    assert fourier.conjugate_samples(np.ones((5, 6))).shape == (5, 6)
+    with pytest.raises(GridMismatch):
+        fourier.conjugate_samples(np.ones((6, 5)))
+
+
+def test_inversion_failure_names_the_residual_and_the_fix():
+    rows = np.stack([T, np.full(N, np.nan)])
+    with pytest.raises(NoConvergence, match="worst residual nan.*raise ntheta"):
+        fourier.invert_correspondence(rows, T)
+
+
+def _probe_trial_by_trial(cmap, j, seed):
+    """norm_probe as a loop over its ten trials: one polynomial, transform
+    pair and pair of Hoelder norms at a time, each inversion on its own."""
+    data = cmap.curve.data
+    model = quadric_slice(data.lam, max_degree=data.qp.shape[0] - 1)
+    model_map = riemann_map(
+        trace_level_curve(model, cmap.curve.slice, PipelineConfig(ntheta=cmap.n)))
+    theta_grid = fourier.grid(cmap.n)
+    t_star = fourier.invert_correspondence(cmap.correspondence, theta_grid)
+    t_model = fourier.invert_correspondence(model_map.correspondence, theta_grid)
+
+    def transform(m, t, coeffs):
+        h = conjugate_samples(eval_trig_poly(coeffs, m.correspondence))
+        return np.real(fourier.eval_interpolant(h, t))
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(10):
+        coeffs = random_trig_poly(rng)
+        gap = transform(cmap, t_star, coeffs) - transform(model_map, t_model, coeffs)
+        phi = eval_trig_poly(coeffs, theta_grid)
+        weights = holder_weights(cmap.n)
+        ratio = discrete_holder_norm(gap, j, weights) / discrete_holder_norm(phi, j, weights)
+        worst = max(worst, ratio)
+    return worst
+
+
+@pytest.mark.parametrize("ntheta", [256, 512])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_probe_equals_its_trial_by_trial_loop(ntheta, seed):
+    curve = trace_level_curve(perturbed_slice(0.2, cubic=0.1), SliceParams(X0, 0.1),
+                              PipelineConfig(ntheta=ntheta))
+    cmap = riemann_map(curve)
+    probe = norm_probe(cmap, j=0, seed=seed)
+    assert probe > 0.0
+    assert probe == _probe_trial_by_trial(cmap, 0, seed)
+
+
 def test_circle_operator_reduces_to_model():
     curve = trace_level_curve(quadric_slice(0.0), SliceParams(X0, 0.1))
     out = hilbert_on_curve(riemann_map(curve), np.cos(T))
@@ -189,4 +293,5 @@ def test_probe_finite_in_higher_norms():
 def test_holder_norm_monotone_in_j():
     rng = np.random.default_rng(4)
     phi = eval_trig_poly(random_trig_poly(rng), T)
-    assert discrete_holder_norm(phi, 2) >= discrete_holder_norm(phi, 0)
+    weights = holder_weights(N)
+    assert discrete_holder_norm(phi, 2, weights) >= discrete_holder_norm(phi, 0, weights)

@@ -12,7 +12,7 @@ from bishopdiscs.errors import ZeroOnCurve
 from bishopdiscs.normal_form import normalize_full
 from bishopdiscs.solver import (
     _chord_solver, build_slice_operators, linearized_level, omega,
-    omega_deviation, solve_slice, solve_tangent, solve_u,
+    omega_deviation, solve_slice, solve_u, tangent_solver,
 )
 from conftest import RATE_R_LIST, TIGHT_CONFIG, closed_form_only, make_spec, perturbed_slice
 
@@ -284,7 +284,7 @@ def test_radius_tangent_matches_richardson(r):
     # (h/r)^2 truncation, and Richardson leaves 3.2e-7 / 3.9e-7 at r 0.03 / 0.1
     spec = make_spec(lam=0.2, cubic=0.1, k7=0.05)
     sol = solve_slice(spec, SliceParams(X0, r), TIGHT_CONFIG)
-    tangent = solve_tangent(sol, dr=1.0)
+    tangent = tangent_solver(sol)(dr=1.0)
     gap = richardson_gap(
         tangent.u, lambda step: solve_slice(spec, SliceParams(X0, r + step), TIGHT_CONFIG), r / 20)
     assert gap < 1e-6
@@ -298,7 +298,7 @@ def test_parameter_tangent_matches_richardson():
     spec, _ = normalize_full(raw, raw.l)
     x, r = np.array([0.03, 0.0]), 0.05
     sol = solve_slice(spec, SliceParams(tuple(x), r), TIGHT_CONFIG)
-    tangent = solve_tangent(sol, 0.0, *spec.slice_derivative(tuple(x), 0))
+    tangent = tangent_solver(sol)(0.0, *spec.slice_derivative(tuple(x), 0))
     gap = richardson_gap(
         tangent.u,
         lambda step: solve_slice(spec, SliceParams(tuple(x + [step, 0.0]), r), TIGHT_CONFIG),
@@ -314,8 +314,9 @@ def test_parameter_tangents_vanish_on_x_independent_data(monkeypatch):
     exact = solver._chord_solver
     monkeypatch.setattr(solver, "_chord_solver",
                         lambda c: lambda b: products.append(1) or exact(c)(b))
+    tangents = tangent_solver(sol)
     for axis in range(2):
-        tangent = solve_tangent(sol, 0.0, *spec.slice_derivative(X0, axis))
+        tangent = tangents(0.0, *spec.slice_derivative(X0, axis))
         for field in (tangent.u, tangent.f, tangent.z, tangent.zc, tangent.b):
             assert not np.any(field)
     assert products == []
