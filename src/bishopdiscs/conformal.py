@@ -43,7 +43,9 @@ import numpy as np
 
 from . import fourier
 from .errors import NoConvergence
-from .curve import BoundaryCurve, log_radial_slope, log_radius_tangent, radial_root
+from .curve import (
+    BoundaryCurve, log_radial_slope, log_radius_tangent, radial_root, ray_derivative,
+)
 
 MAP_TOL = 1e-11        # sup norm of the correspondence residual
 MAP_MAX_ITER = 200     # Newton steps before the solve counts as stalled
@@ -205,7 +207,7 @@ def riemann_map(curve):
             raise NoConvergence(
                 f"correspondence iteration stalled at residual {res_norm:.3e}; the grid "
                 f"under-resolves the map, try ntheta = {2 * n}")
-        delta = _map_solver(log_radial_slope(data, rho, t + psi))(-res)
+        delta = _map_solver(log_radial_slope(ray_derivative(data, rho, t + psi)))(-res)
         alpha = 1.0
         while True:
             trial = psi + alpha * delta
@@ -230,7 +232,7 @@ def riemann_map(curve):
     if coeffs[1].real <= 0.0 or abs(coeffs[1].imag) > 1e-9 * abs(coeffs[1]):
         raise NoConvergence(f"derivative at 0 not positive real: {coeffs[1]:.3e}")
     boundary_z = r * boundary_sigma
-    eps_cond = float(np.max(np.abs(log_radial_slope(data, rho, theta))))
+    eps_cond = float(np.max(np.abs(log_radial_slope(ray_derivative(data, rho, theta)))))
     margin = float(1.0 + np.min(fourier.upsample(fourier.derivative(psi), 4)))
     return ConformalMap(
         curve=curve,
@@ -247,7 +249,8 @@ def riemann_map(curve):
 def map_tangent(cmap):
     """Rates of the boundary points along parameter directions: returns
     (dr, dqp) -> z' for the direction that moves r at rate dr and the slice
-    matrix qp at rate dqp. The slope and the step's solver are built once.
+    matrix qp at rate dqp. The ray derivative w, the slope and the step's
+    solver are built once.
 
     The Theodorsen relation linearised at the solved map: psi' solves
     psi' - H[slope psi'] = H[d log rho], one Newton step's solve (H drops
@@ -257,11 +260,12 @@ def map_tangent(cmap):
     theta = cmap.correspondence
     rho = np.abs(cmap.boundary_z)
     data = cmap.curve.data
-    slope = log_radial_slope(data, rho, theta)
+    w = ray_derivative(data, rho, theta)
+    slope = log_radial_slope(w)
     solve = _map_solver(slope)
 
     def rate(dr, dqp):
-        dlog_rho = log_radius_tangent(data, rho, theta, cmap.r, dr, dqp)
+        dlog_rho = log_radius_tangent(w, rho, theta, cmap.r, dr, dqp)
         dpsi = solve(fourier.conjugate_samples(dlog_rho))
         return cmap.boundary_z * (dlog_rho + (slope + 1j) * dpsi)
     return rate

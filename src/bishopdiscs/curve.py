@@ -88,7 +88,7 @@ class BoundaryCurve:
         return np.abs(self.data.eval_qp(self.points).real - self.r ** 2)
 
 
-def _ray_derivative(data, rho, theta):
+def ray_derivative(data, rho, theta):
     """w = qp_z(z) e^{i theta} at z = rho e^{i theta}; d/drho qp(z) = 2 Re w."""
     e = np.exp(1j * theta)
     return data.eval_qp_dz(rho * e) * e
@@ -104,7 +104,7 @@ def check_radial_monotonicity(data, r):
     reach = _ray_reach(data.lam)
     theta = fourier.grid(MONOTONE_THETA)
     radii = np.linspace(reach / MONOTONE_RHO, reach, MONOTONE_RHO) * r
-    slope = 2.0 * np.real(_ray_derivative(data, radii[:, None], theta))   # one row per radius
+    slope = 2.0 * np.real(ray_derivative(data, radii[:, None], theta))   # one row per radius
     failing = np.any(slope <= 0.0, axis=1)
     if np.any(failing):
         i = int(np.argmax(failing))
@@ -139,7 +139,7 @@ def radial_root(data, theta, r, rho0):
             return rho
         lo = np.where(f < 0.0, np.maximum(lo, rho), lo)
         hi = np.where(f > 0.0, np.minimum(hi, rho), hi)
-        step = f / (2.0 * np.real(_ray_derivative(data, rho, theta)))
+        step = f / (2.0 * np.real(ray_derivative(data, rho, theta)))
         proposal = rho - step
         outside = (proposal <= lo) | (proposal >= hi)
         rho = np.where(converged, rho,
@@ -147,20 +147,19 @@ def radial_root(data, theta, r, rho0):
     raise NoRoot("radial Newton/bisection did not converge on all rays")
 
 
-def log_radial_slope(data, rho, theta):
-    """d log rho / d theta along the level set, by implicit differentiation:
-    -Re(qp_z i z) / (rho Re(qp_z e^{i theta})) = Im(w) / Re(w), where
-    z = rho e^{i theta} and w = qp_z e^{i theta}."""
-    w = _ray_derivative(data, rho, theta)
+def log_radial_slope(w):
+    """d log rho / d theta along the level set, from w = qp_z e^{i theta},
+    the ray_derivative at z = rho e^{i theta}, by implicit differentiation:
+    -Re(qp_z i z) / (rho Re(qp_z e^{i theta})) = Im(w) / Re(w)."""
     return w.imag / w.real
 
 
-def log_radius_tangent(data, rho, theta, r, dr, dqp):
+def log_radius_tangent(w, rho, theta, r, dr, dqp):
     """d log rho / dp at fixed theta along a parameter direction p that moves
     r at rate dr and the slice matrix qp at rate dqp, by implicit
     differentiation of Re qp(rho e^{i theta}) = r^2:
-    (2 r dr - Re dqp(z)) / (2 rho Re w), w = qp_z e^{i theta}."""
-    w = _ray_derivative(data, rho, theta)
+    (2 r dr - Re dqp(z)) / (2 rho Re w), with w = qp_z e^{i theta} the
+    ray_derivative at the same points."""
     return (2.0 * r * dr - eval_matrix(dqp, rho * np.exp(1j * theta)).real) / (2.0 * rho * w.real)
 
 

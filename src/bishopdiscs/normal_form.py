@@ -1,10 +1,12 @@
-"""Per-slice normal form reduction of a raw defining series.
+"""Normal form reduction of a raw defining series over a grid of parameter
+samples.
 
-Pipeline, run independently at each parameter sample X and fitted over the
-grid afterwards:
+Pipeline, run once over the (S, d, d) stack of slice matrices at the
+parameter samples X and fitted over the grid afterwards:
 
-  1. recenter: translate z so the zbar-linear coefficient vanishes (Newton
-     on the zbar-derivative of the defining function);
+  1. recenter: translate z so the zbar-linear coefficient vanishes (one
+     damped Newton on the zbar-derivative of the defining function, each
+     sample stopping on its own test);
   2. absorb the constant and z-linear terms into w and divide by the
      z zbar coefficient;
   3. rotate z so the zbar^2 coefficient becomes real nonnegative, then
@@ -15,10 +17,12 @@ grid afterwards:
      Re C_m(z, q(z)) = (current degree-m imaginary part) subject to
      Im C_m(0, u) = 0.
 
-normalize_full runs steps 1-3 per sample and step 4 once over the stack of
-samples. All transformations are recorded per sample (exact replay) and as
-degree-2 least-squares parameter fits (reporting); downstream slices use
-the pointwise tables when available.
+A single sample is a stack of one, and each sample of a grid gets bit for
+bit the numbers, or the typed error, of its own single-sample pass. All
+transformations are recorded per sample (exact replay) and as degree-2
+least-squares parameter fits (reporting), every fit from one solve against
+the grid's design matrix; downstream slices use the pointwise tables when
+available.
 """
 
 from dataclasses import dataclass, field
@@ -70,25 +74,35 @@ def fit_design(points, nvars):
     return a
 
 
-def fit_parampoly(design, values, nvars):
-    """Least-squares polynomial fit of scalar samples over the grid."""
-    coef, *_ = np.linalg.lstsq(design, np.asarray(values, dtype=float), rcond=None)
-    terms = {exp: c for exp, c in zip(monomials_upto(nvars, FIT_DEGREE), coef)
-             if abs(c) > 1e-14}
-    return ParamPoly(nvars, FIT_DEGREE, terms)
+def fit_columns(design, values, nvars):
+    """Least-squares polynomial fits over the grid of every complex column of
+    values (S, n), real and imaginary parts in one solve against the design
+    matrix: a list of n ComplexParams (a real column fits a zero imaginary
+    part)."""
+    n = values.shape[1]
+    coef, *_ = np.linalg.lstsq(design, np.concatenate([values.real, values.imag], axis=1),
+                               rcond=None)
+    mons = monomials_upto(nvars, FIT_DEGREE)
+    polys = [ParamPoly(nvars, FIT_DEGREE, {exp: c for exp, c in zip(mons, col) if abs(c) > 1e-14})
+             for col in coef.T.tolist()]
+    return [ComplexParam(re, im) for re, im in zip(polys[:n], polys[n:])]
 
 
-def fit_complex(design, values, nvars):
-    values = np.asarray(values, dtype=complex)
-    return ComplexParam(fit_parampoly(design, values.real, nvars),
-                        fit_parampoly(design, values.imag, nvars))
+def _fitted_entries(matrices):
+    """Entries (j, k), j <= k and j + k < d, of a stack of slice matrices
+    (S, d, d) that exceed FIT_DROP_TOL on some sample, j then k ascending."""
+    d = matrices.shape[-1]
+    j, k = np.indices((d, d))
+    big = (np.abs(matrices) > FIT_DROP_TOL).any(axis=0) & (j <= k) & (j + k < d)
+    return list(zip(*(idx.tolist() for idx in np.nonzero(big))))
 
 
-def fit_series(design, matrices, nvars, max_degree):
-    """Coefficient-wise parameter fit of a stack of slice matrices."""
-    coeffs = {(j, k): fit_complex(design, matrices[:, j, k], nvars)
-              for j in range(max_degree + 1) for k in range(max_degree + 1 - j)
-              if np.max(np.abs(matrices[:, j, k])) > FIT_DROP_TOL}
+def _real_series(nvars, max_degree, fits):
+    """Real series from the fits {(j, k): ComplexParam} of its entries with
+    j <= k; each mirror entry (k, j) is the exact conjugate, so the series
+    passes the exact reality predicate."""
+    coeffs = dict(fits)
+    coeffs.update({(k, j): ComplexParam(c.re, -c.im) for (j, k), c in fits.items() if j != k})
     return BidegreeSeries(nvars, max_degree, FIT_DEGREE, coeffs)
 
 
@@ -243,20 +257,6 @@ class CoordinateChange:
                 mat = mat - 1j * compose_w(rec.bm[m], mat)
         return mat
 
-    def fit_over(self, points, design, nvars):
-        recs = [self.records[tuple(p)] for p in points]
-        self.z0_fit = fit_complex(design, [r.z0 for r in recs], nvars)
-        self.gamma_fit = fit_complex(design, [r.gamma for r in recs], nvars)
-        self.c10_fit = fit_complex(design, [r.c10 for r in recs], nvars)
-        self.theta_fit = fit_parampoly(design, [r.theta for r in recs], nvars)
-        self.quad_absorb_fit = fit_complex(design, [r.quad_absorb for r in recs], nvars)
-        # every record carries the same stages and monomials
-        self.bm_fits = {
-            m: {jk: fit_complex(design, [r.bm[m][jk] for r in recs], nvars)
-                for jk in sorted(cm)}
-            for m, cm in sorted(recs[0].bm.items())}
-        return self
-
 
 # --------------------------------------------------------------------------
 # operations
@@ -269,71 +269,104 @@ def detect_cr_singularity(mat):
 
 def recenter_cr_singularity(mat, x):
     """Translation z0 making the zbar-derivative of the slice matrix mat
-    (the graph at parameter point x, which labels errors) vanish at 0.
+    (the graph at parameter point x, which labels errors) vanish at 0: the
+    stacked Newton of _recenter on a stack of one."""
+    z0, errors = _recenter(mat[None], [x])
+    if errors:
+        raise errors[0]
+    return z0[0]
 
-    Damped Newton on the two-real-variable system Re/Im dF/dzbar = 0 with
-    the analytic Jacobian from the second derivatives.
+
+def _recenter(mats, points):
+    """Damped Newton on the two-real-variable systems Re/Im dF/dzbar = 0 of
+    a stack of slice matrices (S, d, d) at the S sample points, with the
+    analytic Jacobian from the second derivatives, as one Newton on the (S,)
+    vector of z0. Each row takes its own 2x2 solve and halving line search,
+    stops on its own test and is frozen from then on, so it takes exactly
+    the steps of its own single-row call. Returns z0 and {row: typed error}
+    for the rows that fail, whose z0 is 0.
     """
-    g_mat = matrix_derivative_zbar(mat)
-    gz_mat = matrix_derivative_z(g_mat)
-    gzb_mat = matrix_derivative_zbar(g_mat)
+    g_mat = matrix_derivative_zbar(mats)
+    # dF/dzbar's z and zbar derivatives, evaluated together: shape (S, 2, d, d)
+    h_mat = np.stack([matrix_derivative_z(g_mat), matrix_derivative_zbar(g_mat)], axis=1)
 
-    z0 = 0.0 + 0.0j
-    g = complex(eval_matrix(g_mat, z0))
+    z0 = np.zeros(len(mats), dtype=complex)
+    g = eval_matrix(g_mat, z0)
+    live = np.ones(len(mats), dtype=bool)
+    errors = {}
     for _ in range(NEWTON_MAX_ITER):
-        if abs(g) < NEWTON_TOL * 1e-2:
-            return z0
-        a = complex(eval_matrix(gz_mat, z0))
-        b = complex(eval_matrix(gzb_mat, z0))
-        jac = np.array([[(a + b).real, -(a - b).imag],
-                        [(a + b).imag, (a - b).real]])
-        try:
-            dx, dy = np.linalg.solve(jac, [-g.real, -g.imag])
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular recentering Jacobian at X={x}") from exc
-        step = complex(dx, dy)
+        live &= ~(np.abs(g) < NEWTON_TOL * 1e-2)
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
+        a, b = np.moveaxis(eval_matrix(h_mat[rows], z0[rows, None]), -1, 0)
+        jac = np.stack([np.stack([(a + b).real, -(a - b).imag], axis=-1),
+                        np.stack([(a + b).imag, (a - b).real], axis=-1)], axis=-2)
+        # a zero pivot in the LU factorisation is what makes np.linalg.solve refuse
+        singular = np.linalg.slogdet(jac)[0] == 0.0
+        for i in rows[singular]:
+            errors[i] = NoConvergence(f"singular recentering Jacobian at X={points[i]}")
+        live[rows[singular]] = False
+        rows, jac = rows[~singular], jac[~singular]
+        if not rows.size:
+            continue
+        rhs = np.stack([-g[rows].real, -g[rows].imag], axis=-1)
+        sol = np.linalg.solve(jac, rhs[..., None])[..., 0]
+        step = sol[:, 0] + 1j * sol[:, 1]
+        search = np.arange(len(rows))       # positions in rows still line-searching
         for _ in range(5):
-            trial = z0 + step
-            g_trial = complex(eval_matrix(g_mat, trial))
-            if abs(g_trial) < abs(g):
-                z0, g = trial, g_trial
+            i = rows[search]
+            trial = z0[i] + step[search]
+            g_trial = eval_matrix(g_mat[i], trial)
+            better = np.abs(g_trial) < np.abs(g[i])
+            z0[i[better]], g[i[better]] = trial[better], g_trial[better]
+            search = search[~better]
+            step[search] *= 0.5
+            if not search.size:
                 break
-            step *= 0.5
         else:
-            z0 = z0 + step
-            g = complex(eval_matrix(g_mat, z0))
-    if abs(g) < NEWTON_TOL:
-        return z0
-    raise NoConvergence(
-        f"recentering Newton stalled at |dF/dzbar| = {abs(g):.3e} for X={x}")
+            i = rows[search]
+            z0[i] += step[search]
+            g[i] = eval_matrix(g_mat[i], z0[i])
+    for i in np.flatnonzero(live & ~(np.abs(g) < NEWTON_TOL)):
+        errors[i] = NoConvergence(
+            f"recentering Newton stalled at |dF/dzbar| = {abs(g[i]):.3e} for X={points[i]}")
+    z0[list(errors)] = 0.0
+    return z0, errors
 
 
-def _normalize_slice(mat, x):
-    """Run steps 1-3 on one slice matrix; returns (matrix, StageRecord)."""
-    z0 = recenter_cr_singularity(mat, x)
-    t = translate_matrix(mat, z0)
-    const_shift = t[0, 0]
-    c10 = t[1, 0]
-    gamma = t[1, 1]
-    if abs(gamma) < 1e-8:
-        raise NoConvergence(f"degenerate z zbar coefficient {gamma} at X={x}")
-    t[0, 0] = 0.0
-    t[1, 0] = 0.0
-    t = t / gamma
-    lam2 = t[0, 2]
-    theta = 0.0 if lam2 == 0.0 else float(np.angle(lam2) / 2.0)
+def _reduce_quadric(mats, points):
+    """Steps 1-3 on the stack of slice matrices at the sample points, each
+    sample raising the typed error of its first failing check; the first
+    failing sample's error is raised. Returns the reduced stack and the
+    StageRecord fields as (S,) arrays, in field order."""
+    z0, failures = _recenter(mats, points)
+
+    def check(bad, error):
+        for i in np.flatnonzero(bad):
+            failures.setdefault(i, error(i))
+
+    t = translate_matrix(mats, z0)
+    const_shift, c10, gamma = t[:, [0, 1, 1], [0, 0, 1]].T
+    degenerate = np.abs(gamma) < 1e-8
+    check(degenerate, lambda i: NoConvergence(
+        f"degenerate z zbar coefficient {gamma[i]} at X={points[i]}"))
+    t[:, [0, 1], 0] = 0.0
+    t = t / np.where(degenerate, 1.0, gamma)[:, None, None]
+    lam2 = t[:, 0, 2]
+    theta = np.where(lam2 == 0.0, 0.0, np.angle(lam2) / 2.0)
     t = rotate_matrix(t, theta)
-    quad_absorb = t[2, 0] - t[0, 2]
-    t[2, 0] = t[0, 2]
-    lam_val = t[0, 2].real
-    if abs(t[0, 2].imag) > 1e-10:
-        raise NoConvergence(f"rotation left a complex quadratic coefficient at X={x}")
-    if not (0.0 <= lam_val <= 0.5 - ELLIPTICITY_MARGIN):
-        raise EllipticityViolation(
-            f"lambda({x}) = {lam_val:.6f} outside [0, 1/2 - {ELLIPTICITY_MARGIN}]")
-    rec = StageRecord(z0=z0, const_shift=const_shift, c10=c10, gamma=gamma,
-                      theta=theta, quad_absorb=quad_absorb, lam=lam_val)
-    return t, rec
+    quad_absorb = t[:, 2, 0] - t[:, 0, 2]
+    t[:, 2, 0] = t[:, 0, 2]
+    lam = t[:, 0, 2].real.copy()
+    check(np.abs(t[:, 0, 2].imag) > 1e-10, lambda i: NoConvergence(
+        f"rotation left a complex quadratic coefficient at X={points[i]}"))
+    check(~((0.0 <= lam) & (lam <= 0.5 - ELLIPTICITY_MARGIN)), lambda i: EllipticityViolation(
+        f"lambda({points[i]}) = {lam[i]:.6f} outside [0, 1/2 - {ELLIPTICITY_MARGIN}]"))
+    if failures:
+        raise failures[min(failures)]
+    return t, {"z0": z0, "const_shift": const_shift, "c10": c10, "gamma": gamma,
+               "theta": theta, "quad_absorb": quad_absorb, "lam": lam}
 
 
 def weighted_monomials(m):
@@ -400,9 +433,10 @@ def solve_normalization_stage(lam, defect, m, size):
 def normalize_full(raw, l, sample_points=None):
     """Reduce a raw defining series to normal form through weight l.
 
-    Steps 1-3 run per sample, step 4 once over the stack of samples. Returns
-    the ManifoldSpec (lam, P and K fitted over the samples, the exact
-    matrices kept as its sample table) and the recorded CoordinateChange.
+    Every step runs once over the stack of slice matrices at the samples.
+    Returns the ManifoldSpec (lam, P and K fitted over the samples, the exact
+    matrices kept as its sample table) and the recorded CoordinateChange;
+    every fit comes from one least-squares solve.
     """
     max_degree = raw.series.max_degree
     if max_degree < l:
@@ -414,10 +448,14 @@ def normalize_full(raw, l, sample_points=None):
     if not points:
         raise EmptySampleGrid("normalize_full got an empty list of sample points;"
                               " pass at least one, or None for the default grid")
-    mats, recs = zip(*(_normalize_slice(raw.slice_matrix(x), x) for x in points))
+    s, fields = _reduce_quadric(np.stack([raw.slice_matrix(x) for x in points]), points)
+    recs = [StageRecord(**dict(zip(fields, vals)))
+            for vals in zip(*(v.tolist() for v in fields.values()))]
     change = CoordinateChange(dict(zip(points, recs)))
-    lams = np.array([rec.lam for rec in recs])
-    s = np.stack(mats)
+    lams = fields["lam"]
+    # fitted columns: lam, then the change's fields, tail stages, P and K
+    columns = [fields[f] for f in ("lam", "theta", "z0", "gamma", "c10", "quad_absorb")]
+    stage_keys = []
     for m in range(3, l + 1):
         j = np.arange(m + 1)
         defect = np.zeros_like(s)
@@ -425,19 +463,27 @@ def normalize_full(raw, l, sample_points=None):
         cm, _ = solve_normalization_stage(lams, defect, m, s.shape[-1])
         for i, rec in enumerate(recs):
             rec.bm[m] = {mon: v[i] for mon, v in cm.items()}
+        stage_keys += [(m, mon) for mon in sorted(cm)]
+        columns += [cm[mon] for mon in sorted(cm)]
         s = s - 1j * compose_w(cm, s)
         stage_res = np.abs(_antidiagonal(imag_part_matrix(s), m)).max(axis=-1)
         bad = np.flatnonzero(stage_res > 1e-10 * (1.0 + np.abs(defect).max(axis=(-2, -1))))
         if bad.size:
             raise SingularNormalizationMatrix(
                 f"stage {m} left residual {stage_res[bad[0]]:.3e} at X={points[bad[0]]}")
-    design = fit_design(points, raw.nvars)
-    change.fit_over(points, design, raw.nvars)
     qps, kmats = real_part_matrix(s), imag_part_matrix(s)
+    pmats = qps - quadric_matrix(lams, max_degree + 1)
+    p_keys, k_keys = _fitted_entries(pmats), _fitted_entries(kmats)
+    columns += [pmats[:, j, k] for j, k in p_keys] + [kmats[:, j, k] for j, k in k_keys]
+    fits = iter(fit_columns(fit_design(points, raw.nvars), np.stack(columns, axis=1), raw.nvars))
+    lam_fit, theta_fit, change.z0_fit, change.gamma_fit, change.c10_fit, change.quad_absorb_fit = (
+        next(fits) for _ in range(6))
+    change.theta_fit = theta_fit.re
+    for m, mon in stage_keys:
+        change.bm_fits.setdefault(m, {})[mon] = next(fits)
+    p = _real_series(raw.nvars, max_degree, {jk: next(fits) for jk in p_keys})
+    k = _real_series(raw.nvars, max_degree, {jk: next(fits) for jk in k_keys})
     samples = {x: (lam, qp, kmat) for x, lam, qp, kmat in zip(points, lams.tolist(), qps, kmats)}
-    spec = ManifoldSpec(
-        n=raw.n, l=l, lam=fit_parampoly(design, lams, raw.nvars),
-        p=fit_series(design, qps - quadric_matrix(lams, max_degree + 1), raw.nvars, max_degree),
-        k=fit_series(design, kmats, raw.nvars, max_degree),
-        validity_radius=raw.validity_radius, samples=samples)
+    spec = ManifoldSpec(n=raw.n, l=l, lam=lam_fit.re, p=p, k=k,
+                        validity_radius=raw.validity_radius, samples=samples)
     return spec, change

@@ -218,16 +218,19 @@ def powers(z, top):
 def eval_matrix(mat, z):
     """Evaluate sum mat[j,k] z^j zbar^k over the nonzero entries of a
     coefficient matrix, j ascending then k, with powers only up to the
-    highest row and column present."""
+    highest row and column present. A stack mat (..., d, d) is evaluated at
+    z broadcast against its leading shape, over the entries nonzero in any of
+    its matrices; the others add 0 to a running sum that starts at +0, which
+    changes no bit (z finite)."""
     z = np.asarray(z, dtype=complex)
-    total = np.zeros_like(z)
-    rows, cols = np.nonzero(mat)
+    rows, cols = np.nonzero(mat.reshape((-1,) + mat.shape[-2:]).any(axis=0))
     if not len(rows):
-        return total
+        return np.zeros(np.broadcast_shapes(mat.shape[:-2], z.shape), dtype=complex)
     zp = powers(z, rows.max())
     zbp = powers(np.conj(z), cols.max())
-    for j, k in zip(rows, cols):
-        total = total + mat[j, k] * zp[j] * zbp[k]
+    total = np.zeros(z.shape, dtype=complex)      # broadcast to the stack by the first term
+    for j, k in zip(rows.tolist(), cols.tolist()):
+        total = total + mat[..., j, k] * zp[j] * zbp[k]
     return total
 
 
@@ -252,14 +255,16 @@ def eval_deviation(mat, z, f):
 
 
 def matrix_derivative_z(mat):
+    """d/dz of a slice matrix (or a stack of them, shape (..., d, d))."""
     out = np.zeros_like(mat)
-    out[:-1, :] = np.arange(1, mat.shape[0])[:, None] * mat[1:, :]
+    out[..., :-1, :] = np.arange(1, mat.shape[-2])[:, None] * mat[..., 1:, :]
     return out
 
 
 def matrix_derivative_zbar(mat):
+    """d/dzbar of a slice matrix (or a stack of them, shape (..., d, d))."""
     out = np.zeros_like(mat)
-    out[:, :-1] = np.arange(1, mat.shape[1]) * mat[:, 1:]
+    out[..., :, :-1] = np.arange(1, mat.shape[-1]) * mat[..., :, 1:]
     return out
 
 
@@ -303,27 +308,31 @@ def compose_w(poly, s_mat):
 
 
 def translate_matrix(mat, shift):
-    """Coefficients of S(z + shift, zbar + conj(shift))."""
-    d = mat.shape[0]
-    out = np.zeros_like(mat)
-    sb = np.conj(shift)
-    for j in range(d):
-        for k in range(d):
-            c = mat[j, k]
-            if c == 0.0:
-                continue
-            for p in range(j + 1):
-                cp = comb(j, p) * shift ** (j - p)
-                for q in range(k + 1):
-                    out[p, q] += c * cp * comb(k, q) * sb ** (k - q)
+    """Coefficients of S(z + shift, zbar + conj(shift)). Each entry is a sum
+    over the nonzero entries c[j, k], j ascending then k, of
+    c comb(j, p) shift^(j-p) comb(k, q) conj(shift)^(k-q). A stack mat
+    (S, d, d) takes a shift of shape (S,) and sums over the entries nonzero in
+    any of its matrices; the others add 0, which changes no bit."""
+    d = mat.shape[-1]
+    n = np.arange(d)
+    s = np.asarray(shift, dtype=complex)[..., None]
+    # an integer exponent array takes each power by repeated multiplication, as
+    # Python's complex power does (a scalar exponent 2 would square differently)
+    s_pows, sb_pows = s ** n, np.conj(s) ** n
+    binom = [np.array([comb(j, p) for p in range(j + 1)], dtype=float) for j in range(d)]
+    out = np.zeros(np.shape(mat), dtype=complex)
+    for j, k in zip(*np.nonzero(mat.reshape((-1, d, d)).any(axis=0))):
+        row = binom[j] * s_pows[..., j::-1]            # comb(j, p) shift^(j-p), p = 0..j
+        term = (mat[..., j, k, None, None] * row[..., :, None]) * binom[k]
+        out[..., :j + 1, :k + 1] += term * sb_pows[..., None, k::-1]
     return out
 
 
 def rotate_matrix(mat, angle):
-    """Coefficients in the frame z' = z e^{-i angle}: c[j,k] *= e^{i(j-k) angle}."""
-    d = mat.shape[0]
-    j = np.arange(d)
-    phase = np.exp(1j * np.subtract.outer(j, j) * angle)
+    """Coefficients in the frame z' = z e^{-i angle}: c[j,k] *= e^{i(j-k) angle};
+    a stack mat (S, d, d) takes an angle of shape (S,)."""
+    j = np.arange(mat.shape[-1])
+    phase = np.exp(1j * np.subtract.outer(j, j) * np.asarray(angle)[..., None, None])
     return mat * phase
 
 

@@ -11,7 +11,9 @@ from scipy.special import ellipk
 from bishopdiscs import conformal, fourier, specio
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import gmres, riemann_map
-from bishopdiscs.curve import SliceParams, log_radial_slope, quadric_slice, trace_level_curve
+from bishopdiscs.curve import (
+    SliceParams, log_radial_slope, quadric_slice, ray_derivative, trace_level_curve,
+)
 from bishopdiscs.errors import NoConvergence
 from conftest import closed_form_only, make_spec, perturbed_slice
 
@@ -250,7 +252,7 @@ def test_matrix_free_step_equals_dense_step(data):
     # is built here only, from the conjugation of the identity columns
     curve = trace_level_curve(data, SliceParams(X0, 0.1), config=PipelineConfig(ntheta=256))
     n = len(curve.rho)
-    slope = log_radial_slope(data, curve.rho, fourier.grid(n))
+    slope = log_radial_slope(ray_derivative(data, curve.rho, fourier.grid(n)))
     res = -fourier.conjugate_samples(np.log(curve.rho / curve.r))
     conj = np.column_stack([fourier.conjugate_samples(e) for e in np.eye(n)])
     dense = np.linalg.solve(np.eye(n) - conj * slope[None, :], -res)
@@ -282,7 +284,7 @@ def test_closed_form_inverse_solves_the_continuous_step(monkeypatch):
     data = perturbed_slice(0.25)
     curve = trace_level_curve(data, SliceParams(X0, 0.1), config=PipelineConfig(ntheta=256))
     t = fourier.grid(len(curve.rho))
-    slope = log_radial_slope(data, curve.rho, t)
+    slope = log_radial_slope(ray_derivative(data, curve.rho, t))
     b = 0.3 + np.cos(t) - 0.5 * np.sin(3 * t) + 0.2 * np.cos(7 * t)
     closed_form_only(monkeypatch)
     v = conformal._map_solver(slope)(b)
@@ -296,7 +298,7 @@ def test_preconditioned_step_equals_dense_step(data):
     # first Newton step from psi = 0, against the dense Jacobian I - H diag(slope)
     curve = trace_level_curve(data, SliceParams(X0, 0.1), config=PipelineConfig(ntheta=256))
     n = len(curve.rho)
-    slope = log_radial_slope(data, curve.rho, fourier.grid(n))
+    slope = log_radial_slope(ray_derivative(data, curve.rho, fourier.grid(n)))
     res = -fourier.conjugate_samples(np.log(curve.rho / curve.r))
     conj = np.column_stack([fourier.conjugate_samples(e) for e in np.eye(n)])
     dense = np.linalg.solve(np.eye(n) - conj * slope[None, :], -res)

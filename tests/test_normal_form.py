@@ -4,17 +4,19 @@ trips, stagewise elimination against a residual oracle, full-pipeline checks."""
 import numpy as np
 import pytest
 
+from bishopdiscs import normal_form, specio
 from bishopdiscs.errors import (
-    EllipticityViolation, EmptySampleGrid, SchemaViolation, SingularNormalizationMatrix,
+    EllipticityViolation, EmptySampleGrid, NoConvergence, PipelineError, SchemaViolation,
+    SingularNormalizationMatrix,
 )
 from bishopdiscs.normal_form import (
-    RawDefiningSeries, detect_cr_singularity, normalize_full,
-    recenter_cr_singularity, sample_grid, solve_normalization_stage,
+    FIT_DEGREE, FIT_DROP_TOL, RawDefiningSeries, detect_cr_singularity, fit_design,
+    normalize_full, recenter_cr_singularity, sample_grid, solve_normalization_stage,
     weighted_monomials,
 )
 from bishopdiscs.series import (
     BidegreeSeries, ComplexParam, ParamPoly, compose_w, eval_matrix,
-    imag_part_matrix, quadric_matrix, real_part_matrix, rotate_matrix,
+    imag_part_matrix, monomials_upto, quadric_matrix, real_part_matrix, rotate_matrix,
     translate_matrix,
 )
 
@@ -154,6 +156,36 @@ def test_ellipticity_violation_detected():
         normalize_full(plain_quadric_raw(lam=0.4995), l=7)
 
 
+def failing_raw():
+    """w = x2 zbar + (1 + 2 x2) z zbar + (1/4 + y2)(z^2 + zbar^2): the
+    recentering Jacobian is singular where 1 + 2 x2 = 2 lam."""
+    lam = C({(0, 0): 0.25, (0, 1): 1.0})
+    return raw_from_coeffs({(0, 1): C(X2), (1, 1): C({(0, 0): 1.0, (1, 0): 2.0}),
+                            (2, 0): lam, (0, 2): lam})
+
+
+SINGULAR = ((0.25, 0.5), NoConvergence, "singular recentering Jacobian at X=(0.25, 0.5)")
+DEGENERATE = ((-0.5, 0.0), NoConvergence, "degenerate z zbar coefficient 0j at X=(-0.5, 0.0)")
+ELLIPTIC = ((0.0, 0.5), EllipticityViolation, "lambda((0.0, 0.5)) = 0.750000 outside")
+
+
+@pytest.mark.parametrize("first, second", [
+    (ELLIPTIC, SINGULAR), (SINGULAR, DEGENERATE), (DEGENERATE, ELLIPTIC)],
+    ids=["elliptic-singular", "singular-degenerate", "degenerate-elliptic"])
+def test_stacked_pass_raises_the_first_failing_samples_error(first, second):
+    # the second failing sample fails a check the first one passes; the grid
+    # still raises the first one's error, as its own single-sample pass does
+    (x, error, message), (y, _, _) = first, second
+    raw = failing_raw()
+    with pytest.raises(PipelineError) as alone:
+        normalize_full(raw, 7, [x])
+    with pytest.raises(PipelineError) as grid:
+        normalize_full(raw, 7, [(0.0, 0.0), x, (0.01, 0.0), y])
+    for exc in (alone.value, grid.value):
+        assert type(exc) is error and str(exc).startswith(message)
+    assert str(grid.value) == str(alone.value)
+
+
 # --------------------------------------------------------------------------
 # imaginary-tail elimination
 # --------------------------------------------------------------------------
@@ -219,6 +251,19 @@ def test_non_finite_stage_input_is_typed():
         solve_normalization_stage(np.array([0.2, np.nan, 0.3]), defect, 4, size)
     with pytest.raises(SingularNormalizationMatrix, match="weight-4 .* of sample 2 .*non-finite"):
         solve_normalization_stage(np.array([0.2, 0.25, 0.3]), defect, 4, size)
+
+
+def test_stalled_recentering_names_its_sample(monkeypatch):
+    # one Newton step leaves the nonlinear samples short of NEWTON_TOL; the
+    # origin is centred already and passes
+    monkeypatch.setattr(normal_form, "NEWTON_MAX_ITER", 1)
+    raw = full_raw_example()
+    x, y = (0.05, 0.0), (-0.08, 0.03)
+    with pytest.raises(NoConvergence, match="recentering Newton stalled") as alone:
+        normalize_full(raw, 7, [x])
+    with pytest.raises(NoConvergence) as grid:
+        normalize_full(raw, 7, [(0.0, 0.0), x, y])
+    assert str(grid.value) == str(alone.value) and str(alone.value).endswith(f"X={x}")
 
 
 def test_kill_is_identity_when_tail_absent():
@@ -344,7 +389,13 @@ def test_grid_pass_is_bitwise_the_pointwise_pass():
         lam_a, qp_a, kmat_a = alone.samples[x]
         assert lam == lam_a
         assert qp.tobytes() == qp_a.tobytes() and kmat.tobytes() == kmat_a.tobytes()
-        bm, bm_a = change.records[x].bm, alone_change.records[x].bm
+        rec, rec_a = change.records[x], alone_change.records[x]
+        for f in ("z0", "const_shift", "c10", "gamma", "theta", "quad_absorb", "lam"):
+            v, v_a = getattr(rec, f), getattr(rec_a, f)
+            assert type(v) is type(v_a) and np.asarray(v).tobytes() == np.asarray(v_a).tobytes(), f
+            # the types StageRecord declares: Python float for theta and lam, complex otherwise
+            assert type(v) is (float if f in ("theta", "lam") else complex), f
+        bm, bm_a = rec.bm, rec_a.bm
         assert list(bm) == list(bm_a) == list(range(3, 8))
         for m in bm:
             assert list(bm[m]) == list(bm_a[m])
@@ -360,3 +411,44 @@ def test_sample_points_array_and_empty_list():
     assert list(spec.samples) == list(default.samples)
     with pytest.raises(EmptySampleGrid, match="empty list of sample points"):
         normalize_full(raw, 7, [])
+
+
+def column_fit(design, values, nvars):
+    """Independent least-squares fit of one column of samples: the terms of
+    its real and imaginary parts, each from its own solve."""
+    mons = monomials_upto(nvars, FIT_DEGREE)
+    return [{e: c for e, c in zip(mons, np.linalg.lstsq(design, part, rcond=None)[0])
+             if abs(c) > 1e-14} for part in (np.real(values), np.imag(values))]
+
+
+@pytest.mark.parametrize("l", [7, 9])
+@pytest.mark.parametrize("per_axis", [3, 9])
+def test_one_solve_fits_match_per_column_fits(l, per_axis):
+    raw = specio.load(specio.resolve_spec_path("builtin:raw_example"))
+    points = sample_grid(raw.nvars, raw.validity_radius, per_axis)
+    spec, change = normalize_full(raw, l, points)
+    design = fit_design(points, raw.nvars)
+    recs = [change.records[x] for x in points]
+    lams = np.array([spec.samples[x][0] for x in points])
+    qps, ks = (np.stack([spec.samples[x][i] for x in points]) for i in (1, 2))
+    pmats = qps - quadric_matrix(lams, qps.shape[-1])
+    pairs = [(ComplexParam(spec.lam, ParamPoly.zero(raw.nvars)), lams),
+             (ComplexParam(change.theta_fit, ParamPoly.zero(raw.nvars)),
+              [r.theta for r in recs])]
+    pairs += [(getattr(change, f"{f}_fit"), [getattr(r, f) for r in recs])
+              for f in ("z0", "gamma", "c10", "quad_absorb")]
+    pairs += [(fit, [r.bm[m][jk] for r in recs])
+              for m, fits in change.bm_fits.items() for jk, fit in fits.items()]
+    for series, mats in ((spec.p, pmats), (spec.k, ks)):
+        d = mats.shape[-1]
+        kept = {(j, k) for j in range(d) for k in range(d - j)
+                if np.max(np.abs(mats[:, j, k])) > FIT_DROP_TOL}
+        assert set(series.coeffs) == kept
+        pairs += [(fit, mats[:, j, k]) for (j, k), fit in series.coeffs.items()]
+    assert len(pairs) > 100
+    # one solve against per-column solves: measured at most 4.7e-12 relative
+    for fit, values in pairs:
+        for got, want in zip((fit.re.terms, fit.im.terms), column_fit(design, values, raw.nvars)):
+            assert set(got) == set(want)
+            for e, c in want.items():
+                assert abs(got[e] - c) <= 1e-11 * abs(c), (e, got[e], c)
