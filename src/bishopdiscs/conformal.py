@@ -22,8 +22,8 @@ GMRES, so no N x N array is formed and a step costs O(k N log N) for k
 Krylov products. GMRES is preconditioned on the right by the closed-form
 inverse of the continuous step operator, a Riemann-Hilbert problem solved
 by two conjugations (Wegmann 1986), so k is 1-14 where the unpreconditioned
-step took 19-65. The solver's chord step uses the same closed-form solve
-(riemann_hilbert) and GMRES wrapper (preconditioned).
+step took 19-65. The solver's Newton step uses the same GMRES wrapper
+(preconditioned) around a riemann_hilbert closed form.
 
 The same step operator gives the map's derivative along the slice
 parameters (map_tangent): linearising the relation at the solved map, the
@@ -117,9 +117,11 @@ def riemann_hilbert(alpha):
 
 
 def preconditioned(operator, inverse):
-    """b -> x with operator(x) = b by GMRES right-preconditioned with the
-    approximate inverse, so GMRES stops on the true residual."""
-    return lambda b: inverse(gmres(lambda y: operator(inverse(y)), b, KRYLOV_TOL, KRYLOV_MAX_ITER))
+    """(b, rtol) -> x with operator(x) = b by GMRES right-preconditioned with
+    the approximate inverse, so GMRES stops on the true residual, at rtol
+    relative in the 2-norm (KRYLOV_TOL unless given)."""
+    return lambda b, rtol=KRYLOV_TOL: inverse(
+        gmres(lambda y: operator(inverse(y)), b, rtol, KRYLOV_MAX_ITER))
 
 
 def _map_solver(slope):

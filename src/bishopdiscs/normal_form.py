@@ -20,9 +20,9 @@ parameter samples X and fitted over the grid afterwards:
 A single sample is a stack of one, and each sample of a grid gets bit for
 bit the numbers, or the typed error, of its own single-sample pass. All
 transformations are recorded per sample (exact replay) and as degree-2
-least-squares parameter fits (reporting), every fit from one solve against
-the grid's design matrix; downstream slices use the pointwise tables when
-available.
+least-squares parameter fits, every fit from one solve against
+the grid's design matrix; downstream slices read the fits alone, and the
+pointwise tables serve the normalize report's round trip.
 """
 
 from dataclasses import dataclass, field
@@ -165,14 +165,12 @@ class ManifoldSpec:
         return bool(np.linalg.norm(x) <= self.validity_radius + 1e-12)
 
     def slice_at(self, x):
-        """Slice data at x in the validity ball; pointwise table wins over the fits."""
+        """Slice data at x in the validity ball, from the parameter fits alone (the
+        sample table only records what the fits were made from)."""
         key = tuple(float(v) for v in np.atleast_1d(x))
         if not self.contains(key):
             raise ValidityEscape(
                 f"parameter point {key} outside the validity ball {self.validity_radius}")
-        if key in self.samples:
-            lam_val, qp, kmat = self.samples[key]
-            return SliceData.from_matrices(lam_val, qp, kmat)
         xa = np.asarray(key, dtype=float)
         lam_val = float(self.lam.evaluate(xa))
         qp = quadric_matrix(lam_val, self.max_degree + 1) + self.p.fix_parameters(xa)
@@ -180,7 +178,7 @@ class ManifoldSpec:
 
     def slice_derivative(self, x, axis):
         """Derivatives in x[axis] of the slice matrices (qp, k) at x, exact on
-        the parameter fits (the sample table has none); q is affine in lam."""
+        the parameter fits that slice_at reads; q is affine in lam."""
         xa = np.asarray(x, dtype=float)
         size = self.max_degree + 1
         dlam = self.lam.derivative(axis).evaluate(xa)

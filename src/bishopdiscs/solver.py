@@ -1,4 +1,4 @@
-"""Fixed-point solution of the disc boundary equation on one slice.
+"""Newton solution of the disc boundary equation on one slice.
 
 On the slice boundary the attached-disc condition reduces to the real
 equation (in the conformal parameter t)
@@ -11,18 +11,18 @@ the extension value r^2 at the slice center. U is the fixed point of
 
     G(U) = -C* ( Omega_1(F) + H[K(z(1+F))] / r^2 ),  Omega_1 = Omega - 1 - Re{C F}.
 
-Omega_1 keeps the linear term -Im c Im F, so U is found by damped chord steps
-(I - s H) delta = G(U) - U, s = Im c / Re c, the linearisation of U - G(U) at
-F = 0 but for the O(r^5) K term. Omega - 1 is evaluated cancellation-free
-via (1+F)^j (1+Fbar)^k - 1 products so that converged values sit at the
-arithmetic noise floor of the small quantities themselves, not of the O(1)
-level function. Each chord step is conformal's Riemann-Hilbert solve for
-c_complex, corrected by conformal's preconditioned GMRES.
+U is found by damped Newton steps (I - G_U(U)) delta = G(U) - U, each one GMRES
+solve of the linearisation's operator, preconditioned by the closed-form inverse
+of the chord operator I - s H, s = Im c / Re c: the operator at F = 0 but for
+the O(r^5) K term, built once per slice. Omega - 1 is evaluated
+cancellation-free via (1+F)^j (1+Fbar)^k - 1 products so that converged
+values sit at the arithmetic noise floor of the small quantities themselves,
+not of the O(1) level function.
 
 tangent_solver differentiates a solved slice along r or X without solving
 again: the map's boundary points move by conformal.map_tangent, and U' solves
-the linearised fixed-point equation by the same preconditioned chord steps.
-Its slice-only pieces are built once and serve every direction.
+the same linearisation at the solved F by one GMRES solve per direction. Its
+slice-only pieces are built once and serve every direction.
 """
 
 from dataclasses import dataclass
@@ -38,7 +38,6 @@ from .series import eval_deviation, eval_matrix, matrix_derivative_z
 
 SOLVE_MAX_ITER = 100
 TANGENT_RTOL = 1e-13   # residual of the linearised equation, relative to its right side
-TANGENT_MAX_SWEEPS = 10
 F_CAP = 0.5            # admissible sup |F| along the boundary
 Z_ESCAPE = 0.5         # admissible |z| for series evaluation
 
@@ -51,15 +50,11 @@ class SliceOperators:
     d_samples: np.ndarray      # C* C, holomorphic boundary values
     d_energy: float            # anti-holomorphic energy fraction of D
     c_complex: np.ndarray      # (2/r^2)(q+P)_z z, whose real part is C
-
-
-def linearized_level(ops, f):
-    """Frechet derivative of the level functional at F = 0: Re{(2/r^2)(q+P)_z z F}."""
-    return np.real(ops.c_complex * np.asarray(f, dtype=complex))
+    chord_inverse: object      # b -> delta with delta - s H[delta] = b, closed form
 
 
 def build_slice_operators(cmap):
-    """Assemble C = Re c_complex, C* and D on the conformal boundary grid."""
+    """Assemble C = Re c_complex, C*, D and the chord inverse on the boundary grid."""
     zb = cmap.boundary_z
     c_complex = 2.0 / cmap.r ** 2 * cmap.curve.data.eval_qp_dz(zb) * zb
     c = np.real(c_complex)
@@ -74,19 +69,36 @@ def build_slice_operators(cmap):
     arg_c = np.unwrap(np.angle(c.astype(complex)))
     c_star = np.exp(-fourier.conjugate_samples(arg_c)) / np.abs(c)
     d = c_star * c.astype(complex)
-    return SliceOperators(c_star, d, fourier.negative_energy_fraction(d), c_complex)
-
-
-def _chord_solver(c_complex):
-    """b -> delta with delta - s H[delta] = b, s = Im c / Re c. With
-    alpha = -(arg c + pi/2), E = i c / (|c| e^{H[arg c]}), so
-    Re(c Phi) = Re(c) b for Phi = delta + i H[delta] reads Im(E Phi) = Im(E) b."""
-    s = c_complex.imag / c_complex.real
+    # chord inverse: Re(c Phi) = Re(c) b reads Im(E Phi) = Im(E) b, E = i c / (|c| e^{H[arg c]})
     alpha = -(np.unwrap(np.angle(c_complex)) + 0.5 * np.pi)
     modulus, solve = riemann_hilbert(alpha)
     weight = -np.sin(alpha) * modulus
-    return preconditioned(lambda v: v - s * fourier.conjugate_samples(v),
+    return SliceOperators(c_star, d, fourier.negative_energy_fraction(d), c_complex,
                           lambda b: np.real(solve(b * weight)))
+
+
+def linearisation(cmap, ops, f):
+    """I - G_U at F = f for U - G(U) = C* E / r^2, E = Re qp(zeta) - Re qp(z) +
+    H[Re K(zeta)], zeta = z (1 + F): U' moves zeta by z F', F' = (U' + i H[U']) / D,
+    so (I - G_U) U' = C* / r^2 (2 Re(qp_z(zeta) z F') + H[2 Re(K_z(zeta) z F')]).
+    Returns K_z(zeta), rates(U') (of Re qp(zeta) and Re K(zeta)), the operator
+    and its solve, preconditioned by ops.chord_inverse."""
+    data, z = cmap.curve.data, cmap.boundary_z
+    zc = z * (1.0 + f)
+    k_z = eval_matrix(matrix_derivative_z(data.k), zc)
+    # 2 Re(a (U' + i H[U'])) in real form, a = 2 qp_z z / D and 2 K_z z / D
+    a = 2.0 * data.eval_qp_dz(zc) * z / ops.d_samples
+    b = 2.0 * k_z * z / ops.d_samples
+    scale = ops.c_star / cmap.r ** 2
+
+    def rates(du):
+        h = fourier.conjugate_samples(du)
+        return a.real * du - a.imag * h, b.real * du - b.imag * h
+
+    def apply(du):
+        re_u, im_u = rates(du)
+        return scale * (re_u + fourier.conjugate_samples(im_u))
+    return k_z, rates, apply, preconditioned(apply, ops.chord_inverse)
 
 
 def omega(f, cmap):
@@ -143,9 +155,8 @@ def step_tolerance(r, config):
 
 
 def solve_u(cmap, config=DEFAULT_CONFIG):
-    """Damped chord iteration (I - s H) delta = G(U) - U for the boundary unknown U."""
+    """Damped Newton iteration (I - G_U(U)) delta = G(U) - U for the boundary unknown U."""
     ops = build_slice_operators(cmap)
-    chord = _chord_solver(ops.c_complex)
     r = cmap.r
     zb = cmap.boundary_z
     kmat = cmap.curve.data.k
@@ -171,7 +182,7 @@ def solve_u(cmap, config=DEFAULT_CONFIG):
         if step_norm >= prev_step and halvings < 3:
             damping *= 0.5
             halvings += 1
-        u = u + damping * chord(step)
+        u = u + damping * linearisation(cmap, ops, f)[-1](step)
         if step_norm < tol_eff:
             break
         prev_step = step_norm
@@ -184,7 +195,7 @@ def solve_u(cmap, config=DEFAULT_CONFIG):
     residual = float(np.max(np.abs(u - target)))
     b = r ** 2 * (1.0 + omdev) + 1j * kvals
     center = complex(np.mean(b))
-    # each chord step at least halves a defect that is still above the noise floor
+    # each Newton step at least halves a defect that is still above the noise floor
     contraction_ok = all(new < 0.5 * old for old, new in zip(step_norms, step_norms[1:])
                          if new > 10 * tol_eff)
     return DiscSolution(
@@ -216,9 +227,9 @@ def tangent_solver(solution):
     """Derivatives of a solved slice along parameter directions: returns
     tangent(dr=0.0, dqp=None, dk=None) -> SliceTangent for the direction that
     moves r at rate dr and the slice matrices qp, k at rates dqp, dk (None: 0).
-    The pieces that depend on the slice alone (the map's tangent solver, qp_z
-    and K_z at zeta, the deviation of z qp_z and the chord solver) are built
-    here once; a direction costs its right side and its chord sweeps.
+    The pieces that depend on the slice alone (the map's tangent solver, the
+    linearisation at the solved F and the deviation of z qp_z) are built here
+    once; a direction costs its right side and one linearised solve.
 
     The solved U is the fixed point of G = U - C* E / r^2, with the boundary
     equation E = qp(zeta) - qp(z) + H[K(zeta)] (real parts, zeta = z (1 + F))
@@ -228,24 +239,15 @@ def tangent_solver(solution):
     taken cancellation-free: the matrix of z qp_z has entries j qp[j, k], so
     d/dp (qp(zeta) - qp(z)) at fixed F is
     eval_deviation(dqp) + 2 (z'/z) eval_deviation(j qp).
-    I - G_U is the chord operator I - s H up to O(F) and the K term, so a few
-    chord sweeps preconditioned by _chord_solver converge. A direction that
-    moves nothing costs no Krylov product and gives exact zeros.
+    A direction that moves nothing costs no Krylov product and gives exact zeros.
     """
     cmap, ops, f = solution.cmap, solution.ops, solution.f_samples
     data, r, z = cmap.curve.data, cmap.r, cmap.boundary_z
     z_rate = map_tangent(cmap)
     zc = z * (1.0 + f)
-    qp_z = data.eval_qp_dz(zc)
-    k_z = eval_matrix(matrix_derivative_z(data.k), zc)
     rows = np.arange(len(data.qp))[:, None]
     z_qp_z = eval_deviation(rows * data.qp, z, f)
-    chord = _chord_solver(ops.c_complex)
-
-    def rates(du):
-        """F' for U' = du, and the rates of Re qp(zeta) and Re K(zeta) it causes."""
-        df = (du + 1j * fourier.conjugate_samples(du)) / ops.d_samples
-        return df, 2.0 * np.real(qp_z * z * df), 2.0 * np.real(k_z * z * df)
+    k_z, rates, _, solve = linearisation(cmap, ops, f)
 
     def tangent(dr=0.0, dqp=None, dk=None):
         dqp = np.zeros_like(data.qp) if dqp is None else dqp
@@ -259,18 +261,16 @@ def tangent_solver(solution):
             """G_p - (I - G_U) U' = -C* (E_p + E_U U') / r^2."""
             return -ops.c_star / r ** 2 * (re_p + re_u + fourier.conjugate_samples(im_p + im_u))
 
-        tol = TANGENT_RTOL * np.max(np.abs(residual(0.0, 0.0)))
-        du = np.zeros(cmap.n)
-        for _ in range(TANGENT_MAX_SWEEPS):
-            df, re_u, im_u = rates(du)
-            res = residual(re_u, im_u)
-            if np.max(np.abs(res)) <= tol:
-                break
-            du = du + chord(res)
-        else:
+        rhs = residual(0.0, 0.0)
+        tol = TANGENT_RTOL * np.max(np.abs(rhs))
+        # a 2-norm residual below tol meets tol in the sup norm as well
+        du = solve(rhs, tol / (np.linalg.norm(rhs) or 1.0))
+        re_u, im_u = rates(du)
+        res = np.max(np.abs(residual(re_u, im_u)))
+        if res > tol:
             raise NoConvergence(
-                f"tangent sweeps not converged: residual {np.max(np.abs(res)):.3e} "
-                f"against {tol:.3e} (reduce r or the tail size)")
+                f"tangent residual {res:.3e} above {tol:.3e} (reduce r or the tail size)")
+        df = (du + 1j * fourier.conjugate_samples(du)) / ops.d_samples
         return SliceTangent(u=du, f=df, z=dz, zc=dz * (1.0 + f) + z * df,
                             b=2.0 * r * dr + re_p + re_u + 1j * (im_p + im_u))
     return tangent

@@ -8,13 +8,14 @@ from bishopdiscs import fourier, solver, specio
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
-from bishopdiscs.errors import ZeroOnCurve
+from bishopdiscs.discs import slice_tangents
+from bishopdiscs.errors import ValidityEscape, ZeroOnCurve
 from bishopdiscs.normal_form import normalize_full
 from bishopdiscs.solver import (
-    _chord_solver, build_slice_operators, linearized_level, omega,
+    build_slice_operators, linearisation, omega,
     omega_deviation, solve_slice, solve_u, tangent_solver,
 )
-from conftest import RATE_R_LIST, TIGHT_CONFIG, closed_form_only, make_spec, perturbed_slice
+from conftest import RATE_R_LIST, TIGHT_CONFIG, make_spec, perturbed_slice
 
 X0 = (0.0, 0.0)
 
@@ -94,7 +95,8 @@ def test_omega_quadratic_remainder_scaling():
     rems = []
     for scale in (1.0, 0.5):
         f = scale * base
-        rem = omega_deviation(f, cmap) - linearized_level(ops, f)
+        # minus the Frechet derivative at F = 0, Re{(2/r^2)(q+P)_z z F}
+        rem = omega_deviation(f, cmap) - np.real(ops.c_complex * f)
         rems.append(np.max(np.abs(rem)))
     ratio = rems[0] / rems[1]
     assert 3.5 < ratio < 4.5
@@ -110,7 +112,8 @@ def test_omega_deviation_matches_plain_omega():
 
 
 # --------------------------------------------------------------------------
-# chord step: (I - s H) delta = b, s = Im c / Re c
+# Newton step: (I - G_U) delta = b, preconditioned by the chord operator
+# I - s H, s = Im c / Re c
 # --------------------------------------------------------------------------
 
 ECCENTRIC_035 = make_spec(lam=0.35, cubic=0.1).slice_at(X0)
@@ -118,21 +121,21 @@ ECCENTRIC_035 = make_spec(lam=0.35, cubic=0.1).slice_at(X0)
 
 @pytest.mark.parametrize("data, ntheta", [(perturbed_slice(0.25), 256), (ECCENTRIC_035, 512)],
                          ids=["perturbed", "eccentric0.35"])
-def test_chord_step_equals_dense_step(data, ntheta):
-    # the dense operator I - diag(s) H is built here only, from the
-    # conjugation of the identity columns
-    _, ops = pipeline(data, 0.1, ntheta)
-    s = ops.c_complex.imag / ops.c_complex.real
-    conj = np.column_stack([fourier.conjugate_samples(e) for e in np.eye(ntheta)])
+def test_newton_step_equals_dense_step(data, ntheta):
+    # the dense linearisation I - G_U at the solved F is built here only,
+    # column by column from its operator
+    cmap, ops = pipeline(data, 0.1, ntheta)
+    _, _, apply, solve = linearisation(cmap, ops, solve_u(cmap).f_samples)
     b = np.random.default_rng(5).standard_normal(ntheta)
-    dense = np.linalg.solve(np.eye(ntheta) - s[:, None] * conj, b)
-    step = _chord_solver(ops.c_complex)(b)
+    dense = np.linalg.solve(np.column_stack([apply(e) for e in np.eye(ntheta)]), b)
+    step = solve(b)
     assert np.linalg.norm(step - dense) <= 1e-11 * np.linalg.norm(dense)
 
 
-def test_chord_step_takes_few_krylov_products(krylov_products):
-    # the counterpart of the map's guard: 9 products per step here when this
-    # guard was set, so a wrong preconditioner that still converges shows
+def test_newton_step_takes_few_krylov_products(krylov_products):
+    # the counterpart of the map's guard: 9 chord-operator products per step
+    # here when this guard was set, 12 per Newton step since, so a wrong
+    # preconditioner that still converges shows
     cmap, _ = pipeline(ECCENTRIC_035, 0.1, 512)
     krylov_products.clear()
     sol = solve_u(cmap)
@@ -143,7 +146,7 @@ def test_chord_step_takes_few_krylov_products(krylov_products):
 @pytest.mark.parametrize("data, ntheta", [(perturbed_slice(0.25), 1024),
                                           (make_spec(lam=0.3, cubic=0.1).slice_at(X0), 2048)],
                          ids=["perturbed", "eccentric0.3"])
-def test_closed_form_chord_inverse_solves_the_continuous_operator(data, ntheta, monkeypatch):
+def test_closed_form_chord_inverse_solves_the_continuous_operator(data, ntheta):
     # c and b resolved to rounding on these grids: the defect measured 4.0e-16
     # and 4.4e-16 relative (it is 3.7e-7 for the perturbed slice at ntheta 256,
     # where c itself is under-resolved)
@@ -151,8 +154,7 @@ def test_closed_form_chord_inverse_solves_the_continuous_operator(data, ntheta, 
     s = ops.c_complex.imag / ops.c_complex.real
     t = fourier.grid(ntheta)
     b = 0.3 + np.cos(t) - 0.5 * np.sin(3 * t) + 0.2 * np.cos(7 * t)
-    closed_form_only(monkeypatch)
-    v = _chord_solver(ops.c_complex)(b)
+    v = ops.chord_inverse(b)
     defect = v - s * fourier.conjugate_samples(v) - b
     assert np.linalg.norm(defect) <= 1e-14 * np.linalg.norm(b)
 
@@ -161,12 +163,41 @@ def test_closed_form_chord_inverse_solves_the_continuous_operator(data, ntheta, 
                                                (0.35, 1.6780463220521695)])
 def test_eccentric_slice_converges_in_few_chord_steps(lam, norm_over_r5):
     # plain Picard took 67 / 60 steps here without contraction evidence; the
-    # chord steps reach the same fixed point, so |U|/r^5 keeps Picard's value
+    # Newton steps reach the same fixed point, so |U|/r^5 keeps Picard's value
     sol = solve_slice(make_spec(lam=lam, cubic=0.1), SliceParams(X0, 0.1),
                       PipelineConfig(ntheta=512))
     assert sol.iterations <= 6
     assert sol.contraction_ok
     assert abs(sol.norm_u / 0.1 ** 5 / norm_over_r5 - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("lam, k7", [(0.2, 50.0), (0.35, 5.0)])
+def test_larger_tail_ladder_solves_in_few_newton_steps(lam, k7):
+    # chord steps on I - s H took 7-26 steps here, and their tangent sweeps
+    # did not converge from r 0.15 on; Newton takes 4-5 steps, and one
+    # linearised solve per tangent meets TANGENT_RTOL. At r 0.15 Richardson
+    # on h = r/40 leaves 1.1e-6 (lam 0.2) and 4.9e-7 (lam 0.35), 16 times less
+    # than on h = r/20: the O(h^4) truncation, not the tangent
+    spec = make_spec(lam=lam, cubic=0.1, k7=k7)
+    config = PipelineConfig(ntheta=512)
+    for r in (0.1, 0.15, 0.19):
+        sol = solve_slice(spec, SliceParams(X0, r), config)
+        assert sol.iterations <= 5
+        assert sol.contraction_ok
+        r_tangent, _ = slice_tangents(spec, sol)
+        if r == 0.15:
+            gap = richardson_gap(
+                r_tangent.u, lambda step: solve_slice(spec, SliceParams(X0, r + step), config),
+                r / 40)
+            assert gap < 3e-6
+
+
+def test_larger_tail_ladder_escape_is_typed():
+    # lam 0.35, k7 20 at r 0.19: the first Newton step from U = 0 already
+    # reaches sup |F| 0.67, past F_CAP
+    with pytest.raises(ValidityEscape, match="exceeds"):
+        solve_slice(make_spec(lam=0.35, cubic=0.1, k7=20.0), SliceParams(X0, 0.19),
+                    PipelineConfig(ntheta=512))
 
 
 # --------------------------------------------------------------------------
@@ -243,15 +274,16 @@ def test_contraction_evidence(rate_family):
 
 
 def test_contraction_evidence_sees_a_slow_step(monkeypatch):
-    # a first chord step cut to 0.3 delta leaves 0.7 of the first defect
+    # a first Newton step cut to 0.3 delta leaves 0.7 of the first defect
     # (1.5e-6 -> 1.0e-6 here); the later steps converge as before
-    exact = solver._chord_solver
+    exact = solver.linearisation
+    factors = iter([0.3])
 
-    def short_first_step(c_complex):
-        solve = exact(c_complex)
-        factors = iter([0.3])
-        return lambda b: next(factors, 1.0) * solve(b)
-    monkeypatch.setattr(solver, "_chord_solver", short_first_step)
+    def short_first_step(cmap, ops, f):
+        *pieces, solve = exact(cmap, ops, f)
+        factor = next(factors, 1.0)
+        return (*pieces, lambda b: factor * solve(b))
+    monkeypatch.setattr(solver, "linearisation", short_first_step)
     sol = solve_slice(make_spec(lam=0.2, cubic=0.1), SliceParams(X0, 0.1))
     assert sol.step_norms[1] > 0.5 * sol.step_norms[0]
     assert not sol.contraction_ok
@@ -291,32 +323,32 @@ def test_radius_tangent_matches_richardson(r):
 
 
 def test_parameter_tangent_matches_richardson():
-    # the normalized raw example depends on X through lam, P and K; off the
-    # sample table (whose slices the fits only approximate) Richardson on
-    # h = 1e-3 leaves 1.7e-10
+    # the normalized raw example depends on X through lam, P and K; slices
+    # come from the parameter fits alone, so the sample-table point X = 0
+    # agrees as well as the point off the table: Richardson on h = 1e-3
+    # leaves 6.6e-12 and 1.7e-10 (1.2e-6 at X = 0 when table points read the
+    # table's exact slice)
     raw = specio.load(specio.resolve_spec_path("builtin:raw_example"))
     spec, _ = normalize_full(raw, raw.l)
-    x, r = np.array([0.03, 0.0]), 0.05
-    sol = solve_slice(spec, SliceParams(tuple(x), r), TIGHT_CONFIG)
-    tangent = tangent_solver(sol)(0.0, *spec.slice_derivative(tuple(x), 0))
-    gap = richardson_gap(
-        tangent.u,
-        lambda step: solve_slice(spec, SliceParams(tuple(x + [step, 0.0]), r), TIGHT_CONFIG),
-        1e-3)
-    assert gap < 1e-9
+    r = 0.05
+    for x in (np.array([0.0, 0.0]), np.array([0.03, 0.0])):
+        sol = solve_slice(spec, SliceParams(tuple(x), r), TIGHT_CONFIG)
+        tangent = tangent_solver(sol)(0.0, *spec.slice_derivative(tuple(x), 0))
+        gap = richardson_gap(
+            tangent.u,
+            lambda step: solve_slice(spec, SliceParams(tuple(x + [step, 0.0]), r), TIGHT_CONFIG),
+            1e-3)
+        assert gap < 1e-9
 
 
-def test_parameter_tangents_vanish_on_x_independent_data(monkeypatch):
+def test_parameter_tangents_vanish_on_x_independent_data(krylov_products):
     # zero rates give zero right-hand sides: exact zeros, no Krylov product
     spec = make_spec(lam=0.2, cubic=0.1, k7=0.05)
     sol = solve_slice(spec, SliceParams(X0, 0.1))
-    products = []
-    exact = solver._chord_solver
-    monkeypatch.setattr(solver, "_chord_solver",
-                        lambda c: lambda b: products.append(1) or exact(c)(b))
     tangents = tangent_solver(sol)
+    krylov_products.clear()
     for axis in range(2):
         tangent = tangents(0.0, *spec.slice_derivative(X0, axis))
         for field in (tangent.u, tangent.f, tangent.z, tangent.zc, tangent.b):
             assert not np.any(field)
-    assert products == []
+    assert sum(krylov_products) == 0
