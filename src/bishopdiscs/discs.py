@@ -216,7 +216,9 @@ def _disjointness(discs):
     """
     levels = []
     for (x, r), disc in discs.items():
-        w = disc.values(np.exp(1j * fourier.grid(disc.solution.cmap.n)))[1]
+        sol = disc.solution
+        w = extend_in_disc(sol.b_samples, np.exp(1j * fourier.grid(sol.cmap.n)),
+                           len(sol.cmap.coeffs))
         levels.append((x, r ** 2, fourier.sup_norm(w.real - r ** 2)))
     nearest = [np.inf] * len(levels)
     same_x_margin = np.inf
@@ -242,8 +244,9 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
     Per-slice failures are recorded, never raised; rate fits need at least
     three radii. Each slice is solved once: its tangents along r and X
     (slice_tangents) serve the Jacobian's X and u blocks and dU/dr. The
-    transform probe records, per parameter point, the gap between the slice
-    transform and its quadratic-model transform.
+    transform probe records, per parameter point, the gap between the
+    transform of its largest solved slice and the quadratic-model transform;
+    it runs once, over every such slice.
     """
     r_list = sorted(float(r) for r in r_list)
     x_grid = [tuple(float(v) for v in x) for x in x_grid]
@@ -279,6 +282,7 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
                                         "error": record["error"]})
             report.slices.append(record)
 
+    probed = []     # (x, r, map) of the largest solved radius at each x
     for x in x_grid:
         rs = [r for r in r_list if (x, r) in discs]
         sols = [discs[(x, r)].solution for r in rs]
@@ -295,10 +299,12 @@ def sweep(spec, x_grid, r_list, config=DEFAULT_CONFIG, seed=0):
         for lo, hi in zip(rhos, rhos[1:]):
             if not np.all(lo < hi):
                 report.nested_curves = False
-        # transform probe on the largest solved radius
         if sols:
-            gap = norm_probe(sols[-1].cmap, j=0, seed=seed)
-            report.hilbert_gaps.append({"x": list(x), "r": rs[-1], "gap": gap})
+            probed.append((x, rs[-1], sols[-1].cmap))
+    if probed:
+        gaps = norm_probe([cmap for _, _, cmap in probed], j=0, seed=seed)
+        report.hilbert_gaps = [{"x": list(x), "r": r, "gap": gap}
+                               for (x, r, _), gap in zip(probed, gaps)]
 
     if len(discs) >= 2:
         report.disjointness, report.disc_distances = _disjointness(discs)

@@ -9,13 +9,20 @@ conjugate_samples, derivative, interpolant_modes, eval_interpolant,
 eval_taylor and invert_correspondence act along the last axis: a stack of
 rows (..., N) runs through the same code path as one row, and each row of
 the result equals the call on that row alone, bit for bit.
+
+Off the grid, eval_taylor, eval_interpolant and invert_correspondence sum
+their series through one kernel: a table of the powers of each block of
+points, and one BLAS matrix-vector product per coefficient row.
 """
 
 import functools
+import math
 
 import numpy as np
 
 from .errors import GridMismatch, NoConvergence
+
+POWER_BLOCK = 256   # points per power table, which holds POWER_BLOCK x K values
 
 
 def grid(n):
@@ -79,17 +86,54 @@ def interpolant_modes(samples):
     return c
 
 
+def _power_table(z, k):
+    """Rows z^0 .. z^(k-1) of a block of points, by doubling: rows [j, 2j)
+    are rows [0, j) times z^j, and z^j comes from repeated squaring."""
+    table = np.empty((k, len(z)), dtype=complex)
+    table[:1] = 1.0
+    j, zj = 1, z
+    while j < k:
+        np.multiply(table[:min(j, k - j)], zj, out=table[j:2 * j])
+        j, zj = 2 * j, zj * zj
+    return table
+
+
+def _power_sums(coeffs, zeta):
+    """Sums over k of coeffs[..., k] zeta^k, for the points on the last axis
+    of zeta; the leading axes of coeffs and zeta broadcast. Each row of
+    points takes one power table per block of POWER_BLOCK points, shared by
+    every coefficient row evaluated at it, and each coefficient row one
+    matrix-vector product with that table. One gemv per row, not one gemm
+    over the stack, keeps every row equal to its single-row call bit for bit."""
+    lead = np.broadcast_shapes(coeffs.shape[:-1], zeta.shape[:-1])
+    points = zeta.reshape(math.prod(zeta.shape[:-1]), zeta.shape[-1])
+    source = np.broadcast_to(np.arange(len(points)).reshape(zeta.shape[:-1]), lead).ravel()
+    rows = np.broadcast_to(coeffs, lead + coeffs.shape[-1:]).reshape(len(source), coeffs.shape[-1])
+    rows = rows.astype(complex)
+    out = np.empty((len(rows), points.shape[-1]), dtype=complex)
+    for i, z in enumerate(points):
+        mine = np.flatnonzero(source == i)
+        for start in range(0, len(z), POWER_BLOCK):
+            block = slice(start, start + POWER_BLOCK)
+            table = _power_table(z[block], rows.shape[-1])
+            for row in mine:
+                out[row, block] = rows[row] @ table
+            del table   # before the next block's table is built
+    return out.reshape(lead + points.shape[-1:])
+
+
 def _eval_modes(modes, t):
-    """Sum of modes[..., j] e^{i(j - n/2)t}: Horner in e^{it} over the modes
-    k >= 0 and in e^{-it} over k < 0, so mode k takes |k| roundings of e^{it}.
+    """Sum of modes[..., j] e^{i(j - n/2)t}. The modes k >= 0 are summed over
+    the powers of e^{it}, and the modes k < 0 as the conjugate of the sum of
+    their conjugates over the same powers, so both share one power table.
     The last axis of t holds the points; its leading axes broadcast against
     the leading (row) axes of modes."""
     half = (modes.shape[-1] - 1) // 2
-    modes = modes[..., None, :]
-    z = np.exp(1j * t)
     negative = np.concatenate([np.zeros(modes.shape[:-1] + (1,)), modes[..., half - 1::-1]],
                               axis=-1)
-    return eval_taylor(modes[..., half:], z) + eval_taylor(negative, z.conj())
+    rows = np.stack([modes[..., half:], negative.conj()], axis=-2)
+    sums = _power_sums(rows, np.exp(1j * t)[..., None, :])
+    return sums[..., 0, :] + sums[..., 1, :].conj()
 
 
 def eval_interpolant(samples, t):
@@ -191,16 +235,20 @@ def taylor_from_boundary(samples, n_coeffs):
 
 
 def eval_taylor(coeffs, zeta):
-    """Horner evaluation of Taylor polynomials at (arrays of) points.
+    """Taylor polynomials evaluated at (arrays of) points.
 
     The coefficients run along the last axis; its leading axes stack
-    polynomials and broadcast against the axes of zeta."""
+    polynomials and broadcast against the axes of zeta. A scalar zeta with
+    one polynomial gives a scalar."""
     zeta = np.asarray(zeta, dtype=complex)
     coeffs = np.asarray(coeffs)
-    out = np.zeros((), dtype=complex)
-    for c in coeffs.transpose(-1, *range(coeffs.ndim - 1))[::-1]:   # highest first
-        out = out * zeta + c
-    return out
+    shape = np.broadcast_shapes(coeffs.shape[:-1], zeta.shape)
+    points = zeta.reshape(zeta.shape or (1,))
+    if coeffs.ndim > 1 and coeffs.shape[-2] == 1:
+        coeffs = coeffs[..., 0, :]      # one polynomial along the point axis
+    elif coeffs.ndim > 1:
+        points = points[..., None]      # a polynomial per point
+    return _power_sums(coeffs, points).reshape(shape)[()]
 
 
 def cauchy_integral(boundary_values, z_samples, z_tangent, targets):
@@ -227,7 +275,7 @@ def invert_correspondence(theta_samples, theta_targets):
     theta_samples are values of theta at the equispaced t grid with
     theta(t) = t + psi(t), psi periodic; the targets run along the last axis
     of theta_targets. A stack of correspondences (..., n) is inverted in one
-    pass: psi and psi' are evaluated in one Horner per step, and each row
+    pass: psi and psi' are evaluated on one power table per step, and each row
     stops on its own test and is frozen from then on, so it takes exactly
     the steps of its own single-row call.
     """

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fourier
 from .config import PipelineConfig
-from .conformal import riemann_map
+from .conformal import ConformalMap, riemann_map
 from .curve import quadric_slice, trace_level_curve
 from .errors import AliasingRisk, GridMismatch
 
@@ -101,39 +101,49 @@ def eval_trig_poly(coeffs, theta):
     return out
 
 
-def _transform_on_polar_grid(cmap, t_star, coeffs):
-    """H[phi] expressed back on the equispaced polar grid, for a stack of
-    trig polynomials phi of the polar angle; t_star are the circle angles
-    that cmap's correspondence sends to that grid."""
-    phi_t = eval_trig_poly(coeffs, cmap.correspondence)
-    h_t = fourier.conjugate_samples(phi_t)
-    return np.real(fourier.eval_interpolant(h_t, t_star))
-
-
-def norm_probe(cmap, j, seed=0):
-    """Empirical operator-norm gap between this curve's transform and the
+def norm_probe(cmaps, j, seed=0):
+    """Empirical operator-norm gaps between each curve's transform and the
     transform of the unperturbed quadratic-model curve at the same slice.
 
     Both transforms act on ten random trig polynomials of the polar angle
     and are compared on the polar grid in the discrete C^j norm; the gap
-    closes linearly in r when the perturbation is nontrivial. The model map
-    is built on the same grid as cmap. The polynomials are drawn trial by
-    trial from seed and run as one stack; both correspondences are inverted
-    in one call and the Hoelder weights are built once, so the result equals
-    the trial-by-trial loop bit for bit.
+    closes linearly in r when the perturbation is nontrivial. cmaps is one
+    map, which gives its gap, or a sequence of maps on one grid, which gives
+    one gap per map. Each model map is built once per (lam, r, degree) on
+    that grid. The polynomials are drawn trial by trial from seed and run as
+    one stack; every correspondence is inverted, and every transform
+    evaluated, in one stacked call, and the polynomials' Hoelder norms are
+    taken once, so each gap equals the trial-by-trial loop on its map alone,
+    bit for bit.
     """
-    data = cmap.curve.data
-    model = quadric_slice(data.lam, max_degree=data.qp.shape[0] - 1)
-    model_curve = trace_level_curve(model, cmap.curve.slice, PipelineConfig(ntheta=cmap.n))
-    model_map = riemann_map(model_curve)
-    theta_grid = fourier.grid(cmap.n)
-    t_star, t_model = fourier.invert_correspondence(
-        np.stack([cmap.correspondence, model_map.correspondence]), theta_grid)
+    if isinstance(cmaps, ConformalMap):
+        return norm_probe([cmaps], j, seed)[0]
+    n = cmaps[0].n
+    if any(cmap.n != n for cmap in cmaps):
+        raise GridMismatch(f"probe maps need one grid, got sizes {[cmap.n for cmap in cmaps]}")
+    models, model_rows = {}, []     # model maps by (lam, r, degree); each map's model row
+    for cmap in cmaps:
+        data = cmap.curve.data
+        key = (data.lam, cmap.r, data.qp.shape[0] - 1)
+        if key not in models:
+            model = quadric_slice(data.lam, max_degree=key[2])
+            models[key] = riemann_map(
+                trace_level_curve(model, cmap.curve.slice, PipelineConfig(ntheta=n)))
+        model_rows.append(len(cmaps) + list(models).index(key))
+    correspondences = np.stack([m.correspondence for m in [*cmaps, *models.values()]])
+    theta_grid = fourier.grid(n)
+    t = fourier.invert_correspondence(correspondences, theta_grid)
     rng = np.random.default_rng(seed)
     coeffs = [np.array(c) for c in zip(*(random_trig_poly(rng) for _ in range(10)))]
-    gaps = (_transform_on_polar_grid(cmap, t_star, coeffs)
-            - _transform_on_polar_grid(model_map, t_model, coeffs))
-    weights = holder_weights(cmap.n)
-    ratios = [discrete_holder_norm(gap, j, weights) / discrete_holder_norm(phi, j, weights)
-              for gap, phi in zip(gaps, eval_trig_poly(coeffs, theta_grid))]
-    return max(0.0, *ratios)
+    # H[phi] of each polynomial on each curve, expressed back on the polar grid
+    transforms = fourier.eval_interpolant(
+        fourier.conjugate_samples(eval_trig_poly(coeffs, correspondences)), t)
+    weights = holder_weights(n)
+    phi_norms = [discrete_holder_norm(phi, j, weights)
+                 for phi in eval_trig_poly(coeffs, theta_grid)]
+    gaps = []
+    for i, model_row in enumerate(model_rows):
+        ratios = [discrete_holder_norm(gap, j, weights) / norm for gap, norm in
+                  zip(transforms[:, i] - transforms[:, model_row], phi_norms)]
+        gaps.append(max(0.0, *ratios))
+    return gaps

@@ -106,10 +106,12 @@ def omega(f, cmap):
     points (the conformal grid the samples of F live on)."""
     f = np.asarray(f, dtype=complex)
     if np.max(np.abs(f)) >= F_CAP:
-        raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {F_CAP}")
+        raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {F_CAP} "
+                             "(reduce r or the tail size)")
     pts = cmap.boundary_z * (1.0 + f)
     if np.max(np.abs(pts)) > Z_ESCAPE:
-        raise ValidityEscape("evaluation point left the series validity region")
+        raise ValidityEscape("evaluation point left the series validity region "
+                             "(reduce r or the tail size)")
     vals = cmap.curve.data.eval_qp(pts)
     return vals.real / cmap.r ** 2
 
@@ -119,10 +121,12 @@ def omega_deviation(f, cmap):
     the curve: sum of c[j,k] z^j zbar^k ((1+F)^j (1+conj F)^k - 1) / r^2."""
     f = np.asarray(f, dtype=complex)
     if np.max(np.abs(f)) >= F_CAP:
-        raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {F_CAP}")
+        raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {F_CAP} "
+                             "(reduce r or the tail size)")
     z = cmap.boundary_z
     if np.max(np.abs(z * (1.0 + np.abs(f)))) > Z_ESCAPE:
-        raise ValidityEscape("evaluation point left the series validity region")
+        raise ValidityEscape("evaluation point left the series validity region "
+                             "(reduce r or the tail size)")
     return eval_deviation(cmap.curve.data.qp, z, f).real / cmap.r ** 2
 
 

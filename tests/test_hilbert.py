@@ -1,9 +1,11 @@
 """Conjugation identities, origin normalization, and the model-curve probe."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bishopdiscs import fourier
+from bishopdiscs import fourier, hilbert
 from bishopdiscs.config import PipelineConfig
 from bishopdiscs.conformal import riemann_map
 from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
@@ -149,6 +151,70 @@ def test_stacked_transforms_equal_the_row_by_row_calls(n):
                               [fourier.eval_taylor(c, zeta) for c in coeffs])
 
 
+# measured worst errors over eight seeds, relative to sum |c_k|: interpolant
+# 1.6e-15 at n 256 and 4.1e-15 at 2048; Taylor sum (n/2 coefficients, |zeta|
+# <= 1) 7.6e-16 and 1.6e-15. Squaring in the power table compounds its
+# first roundings, so the Taylor error grows about linearly in the degree.
+KERNEL_ERROR = {256: (3e-15, 1.5e-15), 2048: (8e-15, 3e-15)}
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_kernel_matches_a_long_double_direct_sum(n):
+    interpolant_bound, taylor_bound = KERNEL_ERROR[n]
+    rng = np.random.default_rng(n)
+    t = rng.uniform(0.0, 2.0 * np.pi, 200)
+    k = np.arange(-(n // 2), n // 2 + 1)
+    phase = np.exp(1j * np.multiply.outer(t.astype(np.longdouble), k))
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for samples in (x, x.real):
+        modes = fourier.interpolant_modes(samples)
+        exact = (modes.astype(np.clongdouble) * phase).sum(axis=-1)
+        exact = exact.real if np.isrealobj(samples) else exact
+        error = np.max(np.abs(fourier.eval_interpolant(samples, t) - exact))
+        assert error <= interpolant_bound * np.sum(np.abs(modes))
+    coeffs = rng.standard_normal(n // 2) + 1j * rng.standard_normal(n // 2)
+    zeta = np.sqrt(rng.uniform(0.0, 1.0, 200)) * np.exp(1j * t)
+    zeta[:50] /= np.abs(zeta[:50])
+    powers = zeta.astype(np.clongdouble)[:, None] ** np.arange(n // 2)
+    exact = (coeffs.astype(np.clongdouble) * powers).sum(axis=-1)
+    error = np.max(np.abs(fourier.eval_taylor(coeffs, zeta) - exact))
+    assert error <= taylor_bound * np.sum(np.abs(coeffs))
+
+
+def test_stacked_rows_equal_single_rows_over_several_power_blocks():
+    # 700 targets take three power tables per row; BLAS threads not pinned
+    n = 2048
+    t = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, 700)
+    assert len(t) > 2 * fourier.POWER_BLOCK
+    for rows in _stack(n):
+        assert np.array_equal(fourier.eval_interpolant(rows, t),
+                              [fourier.eval_interpolant(row, t) for row in rows])
+        zeta = 0.9 * np.exp(1j * t)
+        coeffs = rows[:, :n // 4]
+        assert np.array_equal(fourier.eval_taylor(coeffs[:, None, :], zeta),
+                              [fourier.eval_taylor(c, zeta) for c in coeffs])
+    grid = fourier.grid(n)
+    rows = np.stack([grid + 0.05 * np.sin(grid),
+                     grid + 0.3 * np.sin(grid) + 0.1 * np.cos(2 * grid)])
+    assert np.array_equal(fourier.invert_correspondence(rows, t),
+                          [fourier.invert_correspondence(row, t) for row in rows])
+
+
+def test_interpolant_evaluation_forms_no_dense_table():
+    # one power table of POWER_BLOCK x (n/2 + 1) values at a time (8.4 MB at
+    # n 4096; measured peak 11.8 MB), not n x n (268 MB)
+    n = 4096
+    rows = np.random.default_rng(4).standard_normal((10, n))
+    t = fourier.grid(n) + np.pi / n
+    tracemalloc.start()
+    try:
+        fourier.eval_interpolant(rows, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_stacked_inversion_freezes_each_row_on_its_own_test(monkeypatch):
     # the identity needs no Newton step and the strongest row the most; a
     # shared stop would move the bits of the rows that converge first
@@ -178,7 +244,10 @@ def test_one_row_calls_keep_their_shapes():
     assert fourier.invert_correspondence(T + 0.1 * np.sin(T), T[:7]).shape == (7,)
     value = fourier.eval_taylor(c[:10], 0.3 + 0.1j)
     assert np.ndim(value) == 0 and isinstance(value, np.complex128)
+    assert value == fourier.eval_taylor(c[:10], [0.3 + 0.1j])[0]
     assert fourier.eval_taylor(c[:10], np.full((2, 3), 0.1j)).shape == (2, 3)
+    assert fourier.eval_taylor(c[:10], []).shape == (0,)
+    assert fourier.eval_interpolant(np.stack([x, x]), []).shape == (2, 0)
 
 
 def test_stacked_input_reads_the_grid_size_from_the_last_axis():
@@ -229,6 +298,23 @@ def test_probe_equals_its_trial_by_trial_loop(ntheta, seed):
     probe = norm_probe(cmap, j=0, seed=seed)
     assert probe > 0.0
     assert probe == _probe_trial_by_trial(cmap, 0, seed)
+
+
+def test_probe_over_several_maps_equals_the_probe_map_by_map(monkeypatch):
+    # the first two maps share (lam, r, degree) and so one model map
+    maps = [riemann_map(trace_level_curve(perturbed_slice(0.2, cubic=cubic), SliceParams(X0, r)))
+            for cubic, r in ((0.1, 0.1), (0.05, 0.1), (0.1, 0.05))]
+    single = [norm_probe([m], j=0)[0] for m in maps]
+    built = []
+    exact = hilbert.riemann_map
+    monkeypatch.setattr(hilbert, "riemann_map", lambda curve: built.append(1) or exact(curve))
+    assert norm_probe(maps[:2], j=0) == single[:2]
+    assert len(built) == 1
+    assert norm_probe(maps, j=0) == single
+    assert len(built) == 3
+    with pytest.raises(GridMismatch):
+        norm_probe([maps[0], riemann_map(trace_level_curve(
+            perturbed_slice(0.2), SliceParams(X0, 0.1), PipelineConfig(ntheta=512)))], j=0)
 
 
 def test_circle_operator_reduces_to_model():

@@ -200,6 +200,19 @@ def test_larger_tail_ladder_escape_is_typed():
                     PipelineConfig(ntheta=512))
 
 
+@pytest.mark.parametrize("evaluate", [omega, omega_deviation])
+@pytest.mark.parametrize("f, scale, cause", [
+    (0.6, 1.0, r"sup \|F\| = 0.600 exceeds 0.5"),
+    (0.1, 10.0, "evaluation point left the series validity region"),
+])
+def test_validity_escapes_name_the_fix(evaluate, f, scale, cause):
+    import dataclasses
+    cmap, _ = pipeline(perturbed_slice(0.2, cubic=0.1), 0.05)
+    cmap = dataclasses.replace(cmap, boundary_z=scale * cmap.boundary_z)
+    with pytest.raises(ValidityEscape, match=cause + r" \(reduce r or the tail size\)$"):
+        evaluate(np.full(cmap.n, f, dtype=complex), cmap)
+
+
 # --------------------------------------------------------------------------
 # trivial family
 # --------------------------------------------------------------------------
