@@ -5,7 +5,7 @@ Pipeline: bidegree coefficient series with polynomial parameter dependence
 and the dense slice-matrix algebra (series), normal form reduction in one
 pass per parameter sample (normal_form), level curve tracing and
 normalized conformal maps (curve, conformal), boundary Hilbert transforms
-(hilbert), the fixed-point slice solver (solver), and disc assembly plus
+(hilbert), the Newton slice solver (solver), and disc assembly plus
 family verification sweeps (discs). The cli module exposes batch commands
 over a declarative manifold file format (specio).
 """

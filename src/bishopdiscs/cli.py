@@ -142,13 +142,11 @@ def cmd_normalize(spec, run_config):
             "lambda": rec.lam,
             "roundTripResidual": float(np.max(np.abs(replay - (qp + 1j * kmat)))),
         }
-    low_k = 0.0
-    for x in sorted(out.samples):
-        _, _, kmat = out.samples[x]
-        for j in range(kmat.shape[0]):
-            for kk in range(kmat.shape[1]):
-                if 0 < j + kk < out.l:
-                    low_k = max(low_k, abs(kmat[j, kk]))
+    kmats = np.stack([kmat for _, _, kmat in out.samples.values()])
+    degree = np.indices(kmats.shape[1:]).sum(axis=0)     # j + k of each z^j zbar^k entry
+    low = kmats[:, (0 < degree) & (degree < out.l)]
+    # hypot, not np.abs: the scalar modulus, bit for bit (np.abs of a complex array is not)
+    low_k = float(np.max(np.hypot(low.real, low.imag), initial=0.0))
     def complex_fit(fit):
         return {"re": fit.re.to_list(), "im": fit.im.to_list()} if fit else None
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import GridMismatch, NoConvergence
 
 POWER_BLOCK = 256   # points per power table, which holds POWER_BLOCK x K values
+SUP_UPSAMPLE = 8    # sup_norm's grid refinement before its Newton polish
 
 
 def grid(n):
@@ -153,21 +154,19 @@ def winding_number(samples):
 
 
 def upsample(samples, factor):
-    """Zero-padded resampling onto a factor-times finer grid."""
+    """Zero-padded resampling onto a factor-times finer grid, factor >= 2."""
     samples = np.asarray(samples)
     n = _check_even(samples)
-    if factor <= 1:
-        return samples.copy()
     c = interpolant_modes(samples)
     m = n * int(factor)
     out = np.fft.ifft(np.concatenate([c[n // 2:], np.zeros(m - n - 1), c[:n // 2]])) * m
     return out.real if np.isrealobj(samples) else out
 
 
-def sup_norm(samples, factor=8):
+def sup_norm(samples):
     """Sup norm of the trigonometric interpolant.
 
-    The maximum of |f| on a factor-times upsampled grid is refined by Newton
+    The maximum of |f| on a SUP_UPSAMPLE-times finer grid is refined by Newton
     steps on the interpolant's critical-point equation: u' = 0 for real
     samples, Re(conj(f) f') = 0 for complex ones. The upsampled value is
     kept if Newton leaves the neighbouring upsampled nodes or does not raise
@@ -175,7 +174,7 @@ def sup_norm(samples, factor=8):
     """
     samples = np.asarray(samples)
     n = _check_even(samples)
-    fine = np.abs(upsample(samples, factor))
+    fine = np.abs(upsample(samples, SUP_UPSAMPLE))
     i = int(np.argmax(fine))
     spacing = 2.0 * np.pi / len(fine)
     c = interpolant_modes(samples)
@@ -197,29 +196,28 @@ def sup_norm(samples, factor=8):
     return float(max(fine[i], abs(np.sum(c * np.exp(1j * k * t)))))
 
 
-def negative_energy_fraction(samples):
-    """Fraction of l2 energy carried by strictly negative frequencies."""
+def _band_energy_fraction(samples, band):
+    """Fraction of l2 energy in the modes k (as fftfreq labels them, the
+    Nyquist bin -n/2) for which band(k, n) holds."""
     samples = np.asarray(samples, dtype=complex)
     n = _check_even(samples)
     c = np.fft.fft(samples) / n
     total = float(np.sum(np.abs(c) ** 2))
     if total == 0.0:
         return 0.0
-    neg = float(np.sum(np.abs(c[n // 2 + 1:]) ** 2))
-    return np.sqrt(neg / total)
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    return np.sqrt(float(np.sum(np.abs(c[band(k, n)]) ** 2)) / total)
+
+
+def negative_energy_fraction(samples):
+    """Fraction of l2 energy carried by strictly negative frequencies
+    -n/2 < k < 0; the Nyquist bin is not one of them."""
+    return _band_energy_fraction(samples, lambda k, n: (-n / 2 < k) & (k < 0))
 
 
 def top_band_energy_fraction(samples):
     """Fraction of l2 energy in the top quarter of the spectrum (|k| > 3N/8)."""
-    samples = np.asarray(samples, dtype=complex)
-    n = _check_even(samples)
-    c = np.fft.fft(samples) / n
-    total = float(np.sum(np.abs(c) ** 2))
-    if total == 0.0:
-        return 0.0
-    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    top = float(np.sum(np.abs(c[k > 3 * n / 8]) ** 2))
-    return np.sqrt(top / total)
+    return _band_energy_fraction(samples, lambda k, n: np.abs(k) > 3 * n / 8)
 
 
 def taylor_from_boundary(samples, n_coeffs):

@@ -43,8 +43,7 @@ def origin_imaginary_residual(cmap, phi):
     """|Im| at the curve origin of the extension of phi + i H[phi], by the
     Cauchy integral over the conformal parameterization."""
     completion = np.asarray(phi, dtype=float) + 1j * hilbert_on_curve(cmap, phi)
-    log_tangent = cmap.boundary_dz / cmap.boundary_z
-    return abs(complex(np.sum(completion * log_tangent) / (1j * cmap.n)).imag)
+    return abs(fourier.cauchy_integral(completion, cmap.boundary_z, cmap.boundary_dz, 0.0)[0].imag)
 
 
 # --------------------------------------------------------------------------

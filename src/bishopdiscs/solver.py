@@ -3,18 +3,18 @@
 On the slice boundary the attached-disc condition reduces to the real
 equation (in the conformal parameter t)
 
-    (q + P)(z (1 + F)) / r^2 - 1 + H[ K(z (1 + F)) ] / r^2 = 0,
+    E(U) = (q + P)(z (1 + F)) - r^2 + H[ K(z (1 + F)) ] = 0,
 
 where F = (U + i H[U]) / D is built from one real unknown U so that the
 disc components extend holomorphically, and the height normalization pins
-the extension value r^2 at the slice center. U is the fixed point of
-
-    G(U) = -C* ( Omega_1(F) + H[K(z(1+F))] / r^2 ),  Omega_1 = Omega - 1 - Re{C F}.
-
-U is found by damped Newton steps (I - G_U(U)) delta = G(U) - U, each one GMRES
-solve of the linearisation's operator, preconditioned by the closed-form inverse
-of the chord operator I - s H, s = Im c / Re c: the operator at F = 0 but for
-the O(r^5) K term, built once per slice. Omega - 1 is evaluated
+the extension value r^2 at the slice center. The paper's fixed-point form
+U = G(U), G = -C* (Omega - 1 - Re{C F} + H[K] / r^2) with
+Omega = (q + P)(z (1 + F)) / r^2, is the same equation: Re{C F} = U / C*,
+so G(U) - U = -C* E(U) / r^2. U is found by damped Newton steps on E itself,
+(C* / r^2) E_U delta = -(C* / r^2) E(U), each one GMRES solve of the
+linearisation's operator, preconditioned by the closed-form inverse of the
+chord operator I - s H, s = Im c / Re c: the operator at F = 0 but for the
+O(r^5) K term, built once per slice. Omega - 1 is evaluated
 cancellation-free via (1+F)^j (1+Fbar)^k - 1 products so that converged
 values sit at the arithmetic noise floor of the small quantities themselves,
 not of the O(1) level function.
@@ -78,9 +78,10 @@ def build_slice_operators(cmap):
 
 
 def linearisation(cmap, ops, f):
-    """I - G_U at F = f for U - G(U) = C* E / r^2, E = Re qp(zeta) - Re qp(z) +
-    H[Re K(zeta)], zeta = z (1 + F): U' moves zeta by z F', F' = (U' + i H[U']) / D,
-    so (I - G_U) U' = C* / r^2 (2 Re(qp_z(zeta) z F') + H[2 Re(K_z(zeta) z F')]).
+    """(C* / r^2) E_U at F = f for the boundary equation E = Re qp(zeta) -
+    Re qp(z) + H[Re K(zeta)], zeta = z (1 + F): U' moves zeta by z F',
+    F' = (U' + i H[U']) / D, so the operator takes U' to
+    C* / r^2 (2 Re(qp_z(zeta) z F') + H[2 Re(K_z(zeta) z F')]).
     Returns K_z(zeta), rates(U') (of Re qp(zeta) and Re K(zeta)), the operator
     and its solve, preconditioned by ops.chord_inverse."""
     data, z = cmap.curve.data, cmap.boundary_z
@@ -101,32 +102,31 @@ def linearisation(cmap, ops, f):
     return k_z, rates, apply, preconditioned(apply, ops.chord_inverse)
 
 
+def _check_validity(f, points):
+    """Raise ValidityEscape unless sup |F| < F_CAP and every point lies within Z_ESCAPE."""
+    if np.max(np.abs(f)) >= F_CAP:
+        raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {F_CAP} "
+                             "(reduce r or the tail size)")
+    if np.max(np.abs(points)) > Z_ESCAPE:
+        raise ValidityEscape("evaluation point left the series validity region "
+                             "(reduce r or the tail size)")
+
+
 def omega(f, cmap):
     """Level functional (q + P)(z (1 + F)) / r^2 along the map's boundary
     points (the conformal grid the samples of F live on)."""
     f = np.asarray(f, dtype=complex)
-    if np.max(np.abs(f)) >= F_CAP:
-        raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {F_CAP} "
-                             "(reduce r or the tail size)")
     pts = cmap.boundary_z * (1.0 + f)
-    if np.max(np.abs(pts)) > Z_ESCAPE:
-        raise ValidityEscape("evaluation point left the series validity region "
-                             "(reduce r or the tail size)")
-    vals = cmap.curve.data.eval_qp(pts)
-    return vals.real / cmap.r ** 2
+    _check_validity(f, pts)
+    return cmap.curve.data.eval_qp(pts).real / cmap.r ** 2
 
 
 def omega_deviation(f, cmap):
     """Cancellation-free Omega(F) - 1, treating the samples as exactly on
     the curve: sum of c[j,k] z^j zbar^k ((1+F)^j (1+conj F)^k - 1) / r^2."""
     f = np.asarray(f, dtype=complex)
-    if np.max(np.abs(f)) >= F_CAP:
-        raise ValidityEscape(f"sup |F| = {np.max(np.abs(f)):.3f} exceeds {F_CAP} "
-                             "(reduce r or the tail size)")
     z = cmap.boundary_z
-    if np.max(np.abs(z * (1.0 + np.abs(f)))) > Z_ESCAPE:
-        raise ValidityEscape("evaluation point left the series validity region "
-                             "(reduce r or the tail size)")
+    _check_validity(f, z * (1.0 + np.abs(f)))
     return eval_deviation(cmap.curve.data.qp, z, f).real / cmap.r ** 2
 
 
@@ -138,7 +138,7 @@ class DiscSolution:
     f_samples: np.ndarray
     b_samples: np.ndarray      # height component on the boundary
     iterations: int
-    residual: float            # fixed-point verification sup norm
+    residual: float            # max |C* E(U)| / r^2 at the returned U
     norm_u: float
     cmap: object               # carries the traced curve as cmap.curve
     ops: SliceOperators
@@ -154,33 +154,32 @@ def solve_slice(spec, slice_params, config=DEFAULT_CONFIG):
 
 
 def step_tolerance(r, config):
-    """Defect max |G(U) - U| at which a slice of radius r is solved (noise-floored)."""
+    """Defect max |C* E(U)| / r^2 at which a slice of radius r is solved (noise-floored)."""
     return max(config.solve_tol * r ** 2, 4e-16)
 
 
+def newton_rhs(u, cmap, ops):
+    """Right side -C* E(U) / r^2 of the Newton step at U, with F, Omega - 1
+    and Re K(z (1 + F)) at U."""
+    f = (u + 1j * fourier.conjugate_samples(u)) / ops.d_samples
+    omdev = omega_deviation(f, cmap)
+    kvals = eval_matrix(cmap.curve.data.k, cmap.boundary_z * (1.0 + f)).real
+    return -ops.c_star * (omdev + fourier.conjugate_samples(kvals) / cmap.r ** 2), f, omdev, kvals
+
+
 def solve_u(cmap, config=DEFAULT_CONFIG):
-    """Damped Newton iteration (I - G_U(U)) delta = G(U) - U for the boundary unknown U."""
+    """Damped Newton iteration (C* / r^2) E_U delta = -C* E(U) / r^2 for the
+    boundary unknown U."""
     ops = build_slice_operators(cmap)
     r = cmap.r
-    zb = cmap.boundary_z
-    kmat = cmap.curve.data.k
     tol_eff = step_tolerance(r, config)
-
-    def rhs(u):
-        f = (u + 1j * fourier.conjugate_samples(u)) / ops.d_samples
-        omdev = omega_deviation(f, cmap)
-        kvals = eval_matrix(kmat, zb * (1.0 + f)).real
-        omega1 = omdev - np.real(ops.c_complex.real * f)
-        return -ops.c_star * (omega1 + fourier.conjugate_samples(kvals) / r ** 2), f, omdev, kvals
-
     u = np.zeros(cmap.n)
     damping = 1.0
     halvings = 0
     step_norms = []
     prev_step = np.inf
     for iterations in range(1, SOLVE_MAX_ITER + 1):
-        target, f, omdev, kvals = rhs(u)
-        step = target - u
+        step, f, omdev, kvals = newton_rhs(u, cmap, ops)
         step_norm = float(np.max(np.abs(step)))
         step_norms.append(step_norm)
         if step_norm >= prev_step and halvings < 3:
@@ -195,8 +194,8 @@ def solve_u(cmap, config=DEFAULT_CONFIG):
             f"boundary iteration not converged after {iterations} steps; "
             f"last step {step_norms[-1]:.3e} (reduce r or the tail size)")
 
-    target, f, omdev, kvals = rhs(u)
-    residual = float(np.max(np.abs(u - target)))
+    step, f, omdev, kvals = newton_rhs(u, cmap, ops)
+    residual = float(np.max(np.abs(step)))
     b = r ** 2 * (1.0 + omdev) + 1j * kvals
     center = complex(np.mean(b))
     # each Newton step at least halves a defect that is still above the noise floor
@@ -235,10 +234,10 @@ def tangent_solver(solution):
     linearisation at the solved F and the deviation of z qp_z) are built here
     once; a direction costs its right side and one linearised solve.
 
-    The solved U is the fixed point of G = U - C* E / r^2, with the boundary
-    equation E = qp(zeta) - qp(z) + H[K(zeta)] (real parts, zeta = z (1 + F))
-    as omega_deviation evaluates it. Hence U' = (I - G_U)^-1 G_p solves
-    E_U U' = -E_p. The boundary points move by z' (conformal.map_tangent). D is
+    The solved U solves the boundary equation E = qp(zeta) - qp(z) +
+    H[K(zeta)] = 0 (real parts, zeta = z (1 + F)) as omega_deviation
+    evaluates it. Hence U' solves E_U U' = -E_p, through the Newton step's
+    operator (C* / r^2) E_U. The boundary points move by z' (conformal.map_tangent). D is
     the constant sign of C, so F' = (U' + i H[U']) / D. The qp part of E_p is
     taken cancellation-free: the matrix of z qp_z has entries j qp[j, k], so
     d/dp (qp(zeta) - qp(z)) at fixed F is
@@ -262,7 +261,7 @@ def tangent_solver(solution):
         im_p = 2.0 * np.real(k_z * dz * (1.0 + f)) + eval_matrix(dk, zc).real
 
         def residual(re_u, im_u):
-            """G_p - (I - G_U) U' = -C* (E_p + E_U U') / r^2."""
+            """-C* (E_p + E_U U') / r^2."""
             return -ops.c_star / r ** 2 * (re_p + re_u + fourier.conjugate_samples(im_p + im_u))
 
         rhs = residual(0.0, 0.0)

@@ -125,6 +125,24 @@ def test_normalize_command(tmp_path):
     assert reloaded.l == 7
 
 
+def test_low_order_imag_coeff_is_the_largest_scalar_modulus(tmp_path):
+    # the report's maximum over every sample's z^j zbar^k entries of K with
+    # 0 < j + k < l, entry by entry with Python's abs
+    from bishopdiscs.normal_form import normalize_full
+    out = tmp_path / "n"
+    assert main(["normalize", "--spec", "builtin:raw_example", "--out", str(out)]) == 0
+    report = json.loads((out / "normalize_report.json").read_text())
+    spec = specio.load(specio.resolve_spec_path("builtin:raw_example"))
+    normalized, _ = normalize_full(spec, spec.l)
+    low_k = 0.0
+    for _, _, kmat in normalized.samples.values():
+        for j in range(kmat.shape[0]):
+            for kk in range(kmat.shape[1]):
+                if 0 < j + kk < normalized.l:
+                    low_k = max(low_k, abs(kmat[j, kk]))
+    assert report["maxLowOrderImagCoeff"] == low_k
+
+
 def raw_example_with_order(tmp_path, l):
     obj = json.loads(Path(specio.resolve_spec_path("builtin:raw_example")).read_text())
     obj["l"] = l

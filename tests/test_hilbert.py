@@ -121,6 +121,23 @@ def test_upsample_and_modes_match_their_references_bit_for_bit(n, factor, kind):
     assert np.array_equal(fourier.interpolant_modes(x), modes)
 
 
+def test_energy_fractions_equal_their_band_sums_bit_for_bit():
+    # the negative band is -n/2 < k < 0: fftfreq labels the Nyquist bin -n/2,
+    # which a plain k < 0 would count as negative
+    rng = np.random.default_rng(8)
+    for _ in range(1000):
+        n = 2 * int(rng.integers(2, 65))
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = np.fft.fft(x) / n
+        total = float(np.sum(np.abs(c) ** 2))
+        k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+        negative = np.sqrt(float(np.sum(np.abs(c[n // 2 + 1:]) ** 2)) / total)
+        top = np.sqrt(float(np.sum(np.abs(c[k > 3 * n / 8]) ** 2)) / total)
+        assert fourier.negative_energy_fraction(x) == negative
+        assert fourier.top_band_energy_fraction(x) == top
+    assert fourier.negative_energy_fraction(np.zeros(8)) == 0.0
+
+
 def test_correspondence_inversion_round_trips():
     def theta(t):
         return t + 0.3 * np.sin(t) + 0.05 * np.cos(3 * t)

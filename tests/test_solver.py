@@ -11,8 +11,9 @@ from bishopdiscs.curve import SliceParams, quadric_slice, trace_level_curve
 from bishopdiscs.discs import slice_tangents
 from bishopdiscs.errors import ValidityEscape, ZeroOnCurve
 from bishopdiscs.normal_form import normalize_full
+from bishopdiscs.series import eval_matrix
 from bishopdiscs.solver import (
-    build_slice_operators, linearisation, omega,
+    build_slice_operators, linearisation, newton_rhs, omega,
     omega_deviation, solve_slice, solve_u, tangent_solver,
 )
 from conftest import RATE_R_LIST, TIGHT_CONFIG, make_spec, perturbed_slice
@@ -117,6 +118,23 @@ def test_omega_deviation_matches_plain_omega():
 # --------------------------------------------------------------------------
 
 ECCENTRIC_035 = make_spec(lam=0.35, cubic=0.1).slice_at(X0)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.5, 1.0])
+def test_newton_rhs_equals_the_fixed_point_defect(scale):
+    # the paper's fixed-point map G(U) = -C* (Omega - 1 - Re{C F} + H[K] / r^2),
+    # written out here: its Re{C F} term is U / C*, so G(U) - U is -C* E(U) / r^2;
+    # at U = 0, U*/2 and U* on the perturbed slice (r 0.1, |U*| 1.5e-6) the two
+    # forms differed by at most 2.1e-22
+    spec = specio.load(specio.resolve_spec_path("builtin:perturbed"))
+    sol = solve_slice(spec, SliceParams(X0, 0.1))
+    cmap, ops, r = sol.cmap, sol.ops, sol.cmap.r
+    u = scale * sol.u_samples
+    f = (u + 1j * fourier.conjugate_samples(u)) / ops.d_samples
+    omega1 = omega_deviation(f, cmap) - np.real(ops.c_complex.real * f)
+    kvals = eval_matrix(cmap.curve.data.k, cmap.boundary_z * (1.0 + f)).real
+    g = -ops.c_star * (omega1 + fourier.conjugate_samples(kvals) / r ** 2)
+    assert np.max(np.abs(newton_rhs(u, cmap, ops)[0] - (g - u))) <= 5e-22
 
 
 @pytest.mark.parametrize("data, ntheta", [(perturbed_slice(0.25), 256), (ECCENTRIC_035, 512)],
